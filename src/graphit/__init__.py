@@ -29,6 +29,7 @@ from .exceptions import (
     ConfigError,
     DimensionMismatchError,
     GraphitError,
+    NonFiniteError,
     NotPositiveDefiniteError,
     SingularPredictiveCovarianceError,
     SingularStatisticsError,
@@ -74,6 +75,7 @@ __all__ = [
     "FilterRun",
     "GraphitError",
     "ModelParams",
+    "NonFiniteError",
     "NotPositiveDefiniteError",
     "Potential",
     "Scenario",

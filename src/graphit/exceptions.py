@@ -19,6 +19,10 @@ class NotPositiveDefiniteError(GraphitError, ValueError):
     """A covariance matrix is not symmetric positive (semi)definite."""
 
 
+class NonFiniteError(GraphitError, ValueError):
+    """An observation, a covariance or the likelihood is NaN or infinite."""
+
+
 class SingularPredictiveCovarianceError(GraphitError, RuntimeError):
     """The predictive observation covariance is numerically singular.
 

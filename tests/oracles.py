@@ -2,14 +2,18 @@
 
 Everything here deliberately avoids the library's own recursions: the
 likelihood and smoothing oracles build the dense joint Gaussian of the whole
-trajectory and condition it directly, and the inner-problem oracle is a plain
-proximal-gradient loop.
+trajectory and condition it directly, the reference filter and smoother run
+every covariance step with no steady-state shortcut, and the inner-problem
+oracle is a plain proximal-gradient loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
+from graphit.exceptions import SingularPredictiveCovarianceError
+from graphit.kalman import FilterRun, SmootherRun
 from graphit.model import ModelParams
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -70,6 +74,76 @@ def smoother_oracle(params: ModelParams, observations: np.ndarray):
     means = post_mean.reshape(K + 1, nx)
     covs = np.array([post_cov[k * nx:(k + 1) * nx, k * nx:(k + 1) * nx] for k in range(K + 1)])
     return means, covs
+
+
+def _sym(M):
+    return 0.5 * (M + M.T)
+
+
+def _reference_factor(S, step):
+    """Cholesky factor of S, singular beyond the library's condition limit of 1e12."""
+    try:
+        factor = cho_factor(S, lower=True)
+    except np.linalg.LinAlgError:
+        raise SingularPredictiveCovarianceError(step) from None
+    d = np.abs(np.diag(factor[0]))
+    if d.min() == 0.0 or (d.max() / d.min()) ** 2 > 1e12:
+        raise SingularPredictiveCovarianceError(step)
+    return factor
+
+
+def reference_filter(params: ModelParams, observations: np.ndarray) -> FilterRun:
+    """Kalman filter with every covariance step computed."""
+    A, H, Q, R = params.A, params.H, params.Q, params.R
+    K = observations.shape[0]
+    mu, Sigma = params.mu0.copy(), params.Sigma0.copy()
+    means, covs, residuals, pred_covs = [], [], [], []
+    nll = 0.0
+    for k in range(K):
+        m_pred = A @ mu
+        P_pred = _sym(A @ Sigma @ A.T + Q)
+        z = observations[k] - H @ m_pred
+        PHt = P_pred @ H.T
+        S = _sym(H @ PHt + R)
+        factor = _reference_factor(S, k + 1)
+        gain = cho_solve(factor, PHt.T).T
+        mu = m_pred + gain @ z
+        Sigma = _sym(P_pred - gain @ S @ gain.T)
+        logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+        nll += 0.5 * (params.ny * LOG_2PI + logdet) + 0.5 * float(z @ cho_solve(factor, z))
+        means.append(mu)
+        covs.append(Sigma)
+        residuals.append(z)
+        pred_covs.append(S)
+    return FilterRun(
+        filtered_means=np.array(means),
+        filtered_covs=np.array(covs),
+        residuals=np.array(residuals),
+        predictive_covs=np.array(pred_covs),
+        neg_log_lik=nll,
+    )
+
+
+def reference_smoother(params: ModelParams, run: FilterRun) -> SmootherRun:
+    """RTS smoother with every gain and covariance step computed."""
+    A, Q = params.A, params.Q
+    K, nx = run.horizon, params.nx
+    means = np.empty((K + 1, nx))
+    covs = np.empty((K + 1, nx, nx))
+    gains = np.empty((K, nx, nx))
+    means[K] = run.filtered_means[K - 1]
+    covs[K] = run.filtered_covs[K - 1]
+    for k in range(K - 1, -1, -1):
+        if k == 0:
+            mu_k, Sigma_k = params.mu0, params.Sigma0
+        else:
+            mu_k, Sigma_k = run.filtered_means[k - 1], run.filtered_covs[k - 1]
+        P_pred = _sym(A @ Sigma_k @ A.T + Q)
+        G = cho_solve(_reference_factor(P_pred, k + 1), A @ Sigma_k).T
+        means[k] = mu_k + G @ (means[k + 1] - A @ mu_k)
+        covs[k] = _sym(Sigma_k + G @ (covs[k + 1] - P_pred) @ G.T)
+        gains[k] = G
+    return SmootherRun(smoothed_means=means, smoothed_covs=covs, gains=gains)
 
 
 def forward_backward(stats, Q, Omega, A0, max_iter=500_000, tol=1e-14):

@@ -5,10 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphit import ConfigError, Potential
+import graphit.cli as cli
+from graphit import ConfigError, Potential, Trajectory
 from graphit.cli import (
     BenchmarkRow,
     Scenario,
+    _run_realization,
     export_csv,
     export_dot,
     grid_search,
@@ -39,6 +41,27 @@ def small_scenario(**overrides):
     )
     base.update(overrides)
     return Scenario(**base)
+
+
+def nan_observations(monkeypatch):
+    """Make every simulated trajectory carry one NaN observation."""
+    simulate = cli.simulate
+
+    def simulate_with_nan(*args, **kwargs):
+        trajectory = simulate(*args, **kwargs)
+        observations = trajectory.observations.copy()
+        observations[3, 0] = np.nan
+        return Trajectory(states=trajectory.states, observations=observations)
+
+    monkeypatch.setattr(cli, "simulate", simulate_with_nan)
+
+
+def overflowing_init(monkeypatch):
+    """Start every fit from A = 1e160 I, whose first prediction overflows."""
+    monkeypatch.setattr(cli, "default_init", lambda n: 1e160 * np.eye(n))
+
+
+NON_FINITE_CASES = [nan_observations, overflowing_init]
 
 
 QUICK_CFG = """\
@@ -168,6 +191,17 @@ class TestRunBenchmark:
             rows = run_benchmark(scenario)
         assert rows[0].realizations == 0
         assert math.isnan(rows[0].rmse)
+
+
+    @pytest.mark.parametrize("inject", NON_FINITE_CASES)
+    def test_non_finite_fit_counts_as_failed(self, monkeypatch, inject):
+        inject(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcome = _run_realization(small_scenario(), 0)
+        for method in ("graphit", "graphem", "mlem"):
+            entry = outcome["methods"][method]
+            assert entry["ok"] is False
+            assert "non-finite" in entry["error"] or "NaN" in entry["error"]
 
 
 class TestGridSearch:
@@ -362,6 +396,18 @@ class TestMainCommand:
             code = main(["bench", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("inject", NON_FINITE_CASES)
+    def test_exit_code_non_finite(self, tmp_path, capsys, monkeypatch, inject):
+        inject(monkeypatch)
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text(QUICK_CFG)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.warns(UserWarning, match="failed"):
+            code = main(["bench", str(cfg), "--out", str(tmp_path / "o"), "--realizations", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "Traceback" not in err
 
     def test_unknown_subcommand_is_config_error(self, capsys):
         assert main(["frobnicate"]) == 1

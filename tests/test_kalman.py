@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from graphit import (
+    GraphitError,
     ModelParams,
+    NonFiniteError,
     SingularPredictiveCovarianceError,
     kalman_filter,
     rts_smoother,
@@ -82,6 +84,60 @@ class TestKalmanFilter:
         with pytest.raises(ValueError):
             kalman_filter(params, np.ones((4, 2)))
 
+    def test_nan_observation_raises_non_finite(self):
+        params = random_stable_params(np.random.default_rng(4), nx=3, ny=2)
+        ys = np.ones((10, 2))
+        ys[6, 1] = np.nan
+        with pytest.raises(NonFiniteError) as exc:
+            kalman_filter(params, ys)
+        assert isinstance(exc.value, GraphitError)
+        assert isinstance(exc.value, ValueError)
+
+    def test_overflowing_transition_raises_non_finite(self):
+        params = random_stable_params(np.random.default_rng(4), nx=3, ny=3)
+        params = ModelParams(**{**params.__dict__, "A": 1e160 * np.eye(3)})
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
+            kalman_filter(params, np.ones((10, 3)))
+
+
+class TestSteadyState:
+    def test_stable_model_settles_and_repeats_covariances(self):
+        rng = np.random.default_rng(6)
+        params = random_stable_params(rng, nx=4, ny=2)
+        run = kalman_filter(params, simulate(params, K=300, seed=1).observations)
+        t = run.steady_step
+        assert t is not None and 2 <= t < 100
+        assert np.all(run.filtered_covs[t - 1:] == run.filtered_covs[t - 1])
+        assert np.all(run.predictive_covs[t - 1:] == run.predictive_covs[t - 1])
+        assert not np.all(run.filtered_covs[t - 2] == run.filtered_covs[t - 1])
+
+    def test_noiseless_random_walk_never_settles(self):
+        # With Q = 0 and A = I the filtered variance decays like 1/k.
+        params = _scalar_params(A=1.0, Q=0.0, R=0.5, Sigma0=1.0)
+        run = kalman_filter(params, np.ones((500, 1)))
+        assert run.steady_step is None
+        expected = 1.0 / (1.0 + np.arange(1, 501) / 0.5)
+        np.testing.assert_allclose(run.filtered_covs[:, 0, 0], expected, rtol=1e-12)
+
+    def test_single_step_has_no_steady_step(self):
+        assert kalman_filter(_scalar_params(), np.array([[1.0]])).steady_step is None
+
+    def test_steady_state_is_scale_invariant(self):
+        # Expressing the data in other units must not move the settle step.
+        # Powers of two keep the rescaled arithmetic exact.
+        rng = np.random.default_rng(7)
+        params = random_stable_params(rng, nx=3, ny=3)
+        ys = simulate(params, K=200, seed=2).observations
+        c = 2.0 ** -20
+        scaled = ModelParams(
+            A=params.A, H=params.H, Q=c * c * params.Q, R=c * c * params.R,
+            mu0=c * params.mu0, Sigma0=c * c * params.Sigma0,
+        )
+        run, run_scaled = kalman_filter(params, ys), kalman_filter(scaled, c * ys)
+        assert run.steady_step is not None
+        assert run_scaled.steady_step == run.steady_step
+        np.testing.assert_array_equal(run_scaled.filtered_means, c * run.filtered_means)
+
 
 class TestRTSSmoother:
     def test_final_step_equals_filter(self):
@@ -124,6 +180,24 @@ class TestRTSSmoother:
         means_ref, covs_ref = smoother_oracle(params, ys)
         np.testing.assert_allclose(smo.smoothed_means, means_ref, atol=1e-10)
         np.testing.assert_allclose(smo.smoothed_covs, covs_ref, atol=1e-10)
+
+    def test_singular_state_prediction_reports_one_based_step(self):
+        # R ~ 0 pins the first state coordinate after step 1, so with Q = 0
+        # the predicted state covariance A Sigma_k A^T + Q is singular from
+        # step 2 on, while every S_k stays well conditioned.
+        params = ModelParams(
+            A=np.eye(2),
+            H=np.array([[1.0, 0.0]]),
+            Q=np.zeros((2, 2)),
+            R=1e-14 * np.eye(1),
+            mu0=np.zeros(2),
+            Sigma0=np.eye(2),
+        )
+        for K in (2, 5):
+            run = kalman_filter(params, np.ones((K, 1)))
+            with pytest.raises(SingularPredictiveCovarianceError) as exc:
+                rts_smoother(params, run)
+            assert exc.value.step == 2
 
     def test_symmetry_preserved_over_long_runs(self):
         rng = np.random.default_rng(9)
