@@ -39,7 +39,6 @@ class EstimatorConfig:
     epsilon: float = 1e-3
     max_outer: int = 50
     dr: DRConfig = field(default_factory=DRConfig)
-    track_objective: bool = True
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -97,11 +96,10 @@ def _outer_loop(observations, params_rest, A0, cfg, minimize_step):
                 err.step, f"{err} (outer iteration {i})"
             ) from err
         stats = compute_stats(srun)
-        if cfg.track_objective:
-            value = frun.neg_log_lik
-            if cfg.potential is not None:
-                value += penalty_value(cfg.potential, A_prev)
-            trace.append(value)
+        value = frun.neg_log_lik
+        if cfg.potential is not None:
+            value += penalty_value(cfg.potential, A_prev)
+        trace.append(value)
 
         A_new = minimize_step(stats, A_prev, i)
         iterates.append(A_new)
@@ -113,8 +111,7 @@ def _outer_loop(observations, params_rest, A0, cfg, minimize_step):
             stopped_by = "precision"
             break
 
-    if cfg.track_objective:
-        trace.append(objective(A_prev, params_rest, observations, cfg.potential))
+    trace.append(objective(A_prev, params_rest, observations, cfg.potential))
 
     return EstimatorResult(
         A_hat=A_prev,

@@ -66,6 +66,12 @@ class Scenario:
             raise ConfigError(f"support size s={self.s} outside [1, {self.n_x * self.n_x}]")
         if min(self.sigma_q, self.sigma_r, self.sigma_0) <= 0:
             raise ConfigError("sigma_q, sigma_r and sigma_0 must be > 0")
+        if not self.edge_threshold >= 0:
+            raise ConfigError(f"edge_threshold must be >= 0, got {self.edge_threshold}")
+        if not self.target_norm > 0:
+            raise ConfigError(f"target_norm must be > 0, got {self.target_norm}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if not self.methods:
             raise ConfigError("at least one method must be selected")
         for m in self.methods:
@@ -125,6 +131,15 @@ def _hyper_string(p: Potential | None) -> str:
 
 # ---------------------------------------------------------------------------
 # benchmark core
+
+def _map(fn, arg_tuples: list[tuple], jobs: int) -> list:
+    """[fn(*args) for args in arg_tuples], on a process pool when jobs > 1."""
+    if jobs <= 1:
+        return [fn(*args) for args in arg_tuples]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(fn, *args) for args in arg_tuples]
+        return [fut.result() for fut in futures]
+
 
 def _realization_data(scenario: Scenario, r: int):
     """Ground truth, model and simulated data for realization index r."""
@@ -190,18 +205,7 @@ def _run_realization(scenario: Scenario, r: int, keep_estimates: bool = False) -
 
 def _benchmark(scenario: Scenario, jobs: int = 1, keep_graphs: bool = False):
     n = scenario.n_realizations
-    outcomes: dict[int, dict] = {}
-    if jobs <= 1:
-        for r in range(n):
-            outcomes[r] = _run_realization(scenario, r, keep_estimates=keep_graphs and r == 0)
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                r: pool.submit(_run_realization, scenario, r, keep_graphs and r == 0)
-                for r in range(n)
-            }
-            for r, fut in futures.items():
-                outcomes[r] = fut.result()
+    outcomes = _map(_run_realization, [(scenario, r, keep_graphs and r == 0) for r in range(n)], jobs)
 
     rows: list[BenchmarkRow] = []
     for method in scenario.methods:
@@ -288,12 +292,7 @@ def grid_search(
     if method not in scenario.potentials:
         raise ConfigError(f"scenario has no potential for method {method}")
 
-    if jobs <= 1:
-        scores = [_eval_grid_point(scenario, method, tup) for tup in grid]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_eval_grid_point, scenario, method, tup) for tup in grid]
-            scores = [fut.result() for fut in futures]
+    scores = _map(_eval_grid_point, [(scenario, method, tup) for tup in grid], jobs)
 
     best_idx = min(range(len(grid)), key=lambda i: (scores[i], i))
     table = list(zip([tuple(t) for t in grid], scores))
@@ -306,14 +305,21 @@ def grid_search(
 CSV_HEADER = ["scenario", "method", "potential", "hyperparams", "rmse", "accuracy", "f1", "time_s", "realizations"]
 
 
+def _render_csv(header: list[str], records) -> str:
+    """CSV text of a header row and then each record, one line per row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(records)
+    return buf.getvalue()
+
+
 def export_csv(rows: list[BenchmarkRow], include_times: bool = True) -> str:
     """Render benchmark rows as CSV, sorted by (scenario, method)."""
     header = list(CSV_HEADER)
     if not include_times:
         header.remove("time_s")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    records = []
     for row in sorted(rows, key=lambda r: (r.scenario, r.method)):
         record = [
             row.scenario,
@@ -327,8 +333,8 @@ def export_csv(rows: list[BenchmarkRow], include_times: bool = True) -> str:
         if include_times:
             record.append(_fmt5(row.time_s))
         record.append(str(row.realizations))
-        writer.writerow(record)
-    return buf.getvalue()
+        records.append(record)
+    return _render_csv(header, records)
 
 
 def export_dot(A: np.ndarray, threshold: float = 1e-10) -> str:
@@ -354,22 +360,12 @@ def export_dot(A: np.ndarray, threshold: float = 1e-10) -> str:
 
 
 def export_curve_csv(table: np.ndarray) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["u", "rho"])
-    for u, value in table:
-        writer.writerow([_fmt5(u), _fmt5(value)])
-    return buf.getvalue()
+    return _render_csv(["u", "rho"], ([_fmt5(u), _fmt5(value)] for u, value in table))
 
 
 def export_grid_csv(method: str, table) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["method", "hyperparams", "rmse"])
-    for values, score in table:
-        hyper = ";".join(_fmt5(v) for v in values)
-        writer.writerow([method, hyper, _fmt5(score)])
-    return buf.getvalue()
+    records = ([method, ";".join(_fmt5(v) for v in values), _fmt5(score)] for values, score in table)
+    return _render_csv(["method", "hyperparams", "rmse"], records)
 
 
 # ---------------------------------------------------------------------------
@@ -450,22 +446,14 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
             if grid is not None:
                 grids[method] = grid
 
-    est = cp["estimator"] if "estimator" in cp else {}
-
-    def _est(key, cast, default):
-        if key not in est:
-            return default
-        try:
-            return cast(est[key])
-        except ValueError:
-            raise ConfigError(f"cannot parse {key} = {est[key]!r} in section [estimator]") from None
-
+    # A proxy of an absent section reads as empty.
+    est = configparser.SectionProxy(cp, "estimator")
     try:
         dr = DRConfig(
-            step=_est("dr_step", float, 1.0),
-            relaxation=_est("dr_relaxation", float, 1.0),
-            tol=_est("dr_tol", float, 1e-6),
-            max_iter=_est("dr_max_iter", int, 1000),
+            step=_get_typed(est, "dr_step", float, default=1.0),
+            relaxation=_get_typed(est, "dr_relaxation", float, default=1.0),
+            tol=_get_typed(est, "dr_tol", float, default=1e-6),
+            max_iter=_get_typed(est, "dr_max_iter", int, default=1000),
         )
         scenario = Scenario(
             scenario_id=sec.get("id", path.stem),
@@ -481,8 +469,8 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
             methods=methods,
             potentials=potentials,
             grids=grids,
-            epsilon=_est("epsilon", float, 1e-3),
-            max_outer=_est("max_outer", int, 50),
+            epsilon=_get_typed(est, "epsilon", float, default=1e-3),
+            max_outer=_get_typed(est, "max_outer", int, default=50),
             dr=dr,
             edge_threshold=_get_typed(sec, "edge_threshold", float, default=1e-10),
             target_norm=_get_typed(sec, "target_norm", float, default=0.9),
@@ -539,6 +527,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Write text to the file `out`, or to stdout when no file is given."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
 def _bench_overrides(args) -> dict:
     overrides = {}
     if args.seed is not None:
@@ -580,11 +576,7 @@ def _cmd_grid(args) -> int:
     if method not in scenario.grids:
         raise ConfigError(f"no [grid.{method}] section found in config")
     best, table = grid_search(scenario, method, list(scenario.grids[method]), jobs=args.jobs)
-    text = export_grid_csv(method, table)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(export_grid_csv(method, table), args.out)
     best_str = ";".join(_fmt5(v) for v in best)
     print(f"best {method}: {best_str}")
     return 0
@@ -600,12 +592,10 @@ def _cmd_curve(args) -> int:
         potential = Potential(args.family, **kwargs)
     except ValueError as err:
         raise ConfigError(str(err)) from None
+    if args.points < 1:
+        raise ConfigError(f"--points must be >= 1, got {args.points}")
     grid = np.linspace(args.u_min, args.u_max, args.points)
-    text = export_curve_csv(emit_penalty_curve(potential, grid))
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(export_curve_csv(emit_penalty_curve(potential, grid)), args.out)
     return 0
 
 
@@ -620,10 +610,7 @@ def _cmd_export_dot(args) -> int:
         text = export_dot(matrix, args.threshold)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(text, args.out)
     return 0
 
 

@@ -12,7 +12,6 @@ reproducible across runs and platforms for a fixed NumPy version.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,41 +175,14 @@ def simulate(params: ModelParams, K: int, seed, *, noiseless: bool = False) -> T
     return Trajectory(states=states, observations=obs)
 
 
-def spectral_norm(M: np.ndarray, *, tol: float = 1e-12, max_iter: int = 10_000) -> float:
-    """Largest singular value of M by power iteration on M^T M.
-
-    Iterates until the symmetric eigen-residual certifies a relative error
-    below `tol` on the dominant eigenvalue of M^T M (hence well below on the
-    singular value). Emits a RuntimeWarning and returns the best estimate if
-    the cap is hit.
-    """
+def spectral_norm(M: np.ndarray) -> float:
+    """Largest singular value of M, computed exactly from its SVD."""
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise ValueError("spectral_norm requires finite entries")
-    if M.size == 0 or not M.any():
+    if M.size == 0:
         return 0.0
-    B = M.T @ M
-    scale = float(np.max(np.abs(B)))
-    # Deterministic start; seeded so it is almost surely not orthogonal to
-    # the dominant eigenvector.
-    v = _rng(0).standard_normal(B.shape[0])
-    v /= np.linalg.norm(v)
-    theta = 0.0
-    for _ in range(max_iter):
-        w = B @ v
-        theta = float(v @ w)
-        resid = np.linalg.norm(w - theta * v)
-        if resid <= tol * max(theta, scale):
-            return float(np.sqrt(max(theta, 0.0)))
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-    warnings.warn("power iteration for spectral_norm hit the iteration cap", RuntimeWarning)
-    # The iteration stalls when the two leading singular values nearly
-    # coincide; a dense symmetric eigensolve of the Gram matrix is then the
-    # best available estimate.
-    return float(np.sqrt(max(float(np.linalg.eigvalsh(B).max()), theta, 0.0)))
+    return float(np.linalg.norm(M, 2))
 
 
 def generate_sparse_A(N_x: int, S: int, target_norm: float = 0.9, seed=0) -> np.ndarray:

@@ -53,14 +53,6 @@ class Potential:
             if self.a is None or not self.a > 2:
                 raise ValueError(f"scad requires a > 2, got {self.a}")
 
-    def describe(self) -> str:
-        parts = [f"gamma={self.gamma:g}"]
-        if self.family in _NEEDS_LAM:
-            parts.append(f"lam={self.lam:g}")
-        if self.family == "scad":
-            parts.append(f"a={self.a:g}")
-        return f"{self.family}({', '.join(parts)})"
-
 
 def rho(p: Potential, u) -> np.ndarray | float:
     """Potential value at |u|. Vectorized over array input."""

@@ -6,9 +6,9 @@ The inner problem at each outer iteration is
     q(A) = 1/2 tr(Q^{-1} (Psi - Delta A^T - A Delta^T + A Phi A^T)),
 
 with . the entrywise product. Both proximal maps are exact: the l1 part is
-entrywise soft-thresholding, the quadratic part a positive definite linear
-solve (Sylvester-type for general Q, handled by simultaneous symmetric
-eigendecompositions of Q and Phi).
+entrywise soft-thresholding, the quadratic part a Sylvester-type positive
+definite linear solve, diagonalized by the symmetric eigendecompositions of Q
+and Phi for every Q.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .em_stats import EMStats, q_quadratic
 
@@ -70,32 +69,21 @@ class _QuadraticProx:
 
         (1/step) Q A + A Phi = Delta + Q V / step.
 
-    For isotropic Q = s^2 I this is a single SPD solve; in general the two
-    eigenbases of Q and Phi diagonalize it entrywise.
+    With Q = U diag(lam) U^T and Phi = W diag(m) W^T, the change of basis
+    A = U X W^T turns it into the entrywise division
+    X_ij = (U^T C W)_ij / (lam_i / step + m_j), C the right-hand side.
     """
 
     def __init__(self, stats: EMStats, Q: np.ndarray, step: float):
         self.step = step
         self.Delta = stats.Delta
         self.Q = Q
-        iso = Q - Q[0, 0] * np.eye(Q.shape[0])
-        self.isotropic = not iso.any()
-        if self.isotropic:
-            s2 = Q[0, 0]
-            self._rhs_const = stats.Delta / s2
-            self._factor = cho_factor(
-                stats.Phi / s2 + np.eye(stats.Phi.shape[0]) / step, lower=True
-            )
-        else:
-            lam, U = np.linalg.eigh(Q)
-            m, W = np.linalg.eigh(stats.Phi)
-            self._U, self._W = U, W
-            self._denom = np.maximum(m, 0.0)[None, :] + lam[:, None] / step
+        lam, U = np.linalg.eigh(Q)
+        m, W = np.linalg.eigh(stats.Phi)
+        self._U, self._W = U, W
+        self._denom = np.maximum(m, 0.0)[None, :] + lam[:, None] / step
 
     def __call__(self, V: np.ndarray) -> np.ndarray:
-        if self.isotropic:
-            rhs = self._rhs_const + V / self.step
-            return cho_solve(self._factor, rhs.T).T
         C = self.Delta + self.Q @ V / self.step
         Ct = self._U.T @ C @ self._W
         return self._U @ (Ct / self._denom) @ self._W.T

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own recursions: the
 likelihood and smoothing oracles build the dense joint Gaussian of the whole
 trajectory and condition it directly, the reference filter and smoother run
-every covariance step with no steady-state shortcut, and the inner-problem
-oracle is a plain proximal-gradient loop.
+every covariance step with no steady-state shortcut, the quadratic prox is
+one dense Kronecker-form solve, and the inner-problem oracle is a plain
+proximal-gradient loop.
 """
 
 from __future__ import annotations
@@ -144,6 +145,18 @@ def reference_smoother(params: ModelParams, run: FilterRun) -> SmootherRun:
         covs[k] = _sym(Sigma_k + G @ (covs[k + 1] - P_pred) @ G.T)
         gains[k] = G
     return SmootherRun(smoothed_means=means, smoothed_covs=covs, gains=gains)
+
+
+def prox_quadratic_oracle(V, stats, Q, step):
+    """Prox of the quadratic term by a direct solve of its vectorized stationarity condition.
+
+    (1/step) Q A + A Phi = Delta + Q V / step, with column-major vec, reads
+    [(1/step)(I kron Q) + (Phi^T kron I)] vec(A) = vec(Delta + Q V / step).
+    """
+    n = Q.shape[0]
+    lhs = np.kron(np.eye(n), Q) / step + np.kron(stats.Phi.T, np.eye(n))
+    rhs = stats.Delta + Q @ V / step
+    return np.linalg.solve(lhs, rhs.reshape(-1, order="F")).reshape((n, n), order="F")
 
 
 def forward_backward(stats, Q, Omega, A0, max_iter=500_000, tol=1e-14):

@@ -107,12 +107,6 @@ class TestGraphIT:
         with pytest.raises(ValueError):
             graphit(traj.observations, params, default_init(4), EstimatorConfig())
 
-    def test_trace_disabled(self):
-        _, params, traj = small_problem()
-        cfg = EstimatorConfig(potential=LOGSUM, max_outer=3, track_objective=False)
-        result = graphit(traj.observations, params, default_init(4), cfg)
-        assert result.objective_trace == ()
-
     def test_cap_stopping(self):
         _, params, traj = small_problem()
         cfg = EstimatorConfig(potential=LOGSUM, epsilon=1e-14, max_outer=2)

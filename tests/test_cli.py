@@ -88,6 +88,49 @@ gamma = 10
 """
 
 
+# Exact bytes of `grid`, `curve` and `export-dot`, recorded before their
+# writers were merged into one.
+GRID_TABLE = (
+    "method,hyperparams,rmse\n"
+    "graphem,1.0000,0.70466\n"
+    "graphem,10.000,0.67617\n"
+)
+GRID_BEST = "best graphem: 10.000\n"
+CURVE_LOG_SUM = (
+    "u,rho\n"
+    "0.0000,0.0000\n"
+    "0.20000,0.16824\n"
+    "0.40000,0.29389\n"
+    "0.60000,0.39423\n"
+    "0.80000,0.47776\n"
+    "1.0000,0.54931\n"
+    "1.2000,0.61189\n"
+    "1.4000,0.66750\n"
+    "1.6000,0.71754\n"
+    "1.8000,0.76303\n"
+    "2.0000,0.80472\n"
+)
+DOT_MATRIX = "0.0,0.7,-1.25\n0.0,0.0,3e-11\n1e-3,0.0,12345.678\n"
+DOT = (
+    "digraph transition {\n"
+    "  1;\n"
+    "  2;\n"
+    "  3;\n"
+    '  1 -> 3 [label="0.0010000"];\n'
+    '  2 -> 1 [label="0.70000"];\n'
+    '  3 -> 1 [label="-1.2500"];\n'
+    '  3 -> 3 [label="12346"];\n'
+    "}\n"
+)
+
+
+def run_main(tmp_path, capsys, argv, to_file):
+    """Run a command that must succeed; return (bytes written to --out or None, stdout)."""
+    out = tmp_path / "out.txt"
+    assert main(argv + ["--out", str(out)] if to_file else argv) == 0
+    return (out.read_bytes() if to_file else None), capsys.readouterr().out
+
+
 class TestScenarioValidation:
     def test_methods_must_be_known(self):
         with pytest.raises(ConfigError):
@@ -411,3 +454,48 @@ class TestMainCommand:
 
     def test_unknown_subcommand_is_config_error(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize(
+        "scenario_extra, argv",
+        [
+            ("", ["curve", "l1", "1.0", "--points", "-1"]),
+            ("", ["bench", "{cfg}", "--threshold", "-1"]),
+            ("", ["bench", "{cfg}", "--seed", "-1"]),
+            ("edge_threshold = -1\n", ["bench", "{cfg}"]),
+            ("target_norm = 0\n", ["bench", "{cfg}"]),
+        ],
+        ids=["curve-points", "bench-threshold", "bench-seed", "config-edge-threshold", "config-target-norm"],
+    )
+    def test_out_of_range_is_config_error(self, tmp_path, capsys, scenario_extra, argv):
+        cfg = tmp_path / "quick.cfg"
+        methods = "methods = graphit graphem mlem\n"
+        cfg.write_text(QUICK_CFG.replace(methods, methods + scenario_extra))
+        argv = [str(cfg) if a == "{cfg}" else a for a in argv] + ["--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+class TestGoldenOutput:
+    def test_grid(self, tmp_path, capsys, to_file):
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text(QUICK_CFG + "\n[grid.graphem]\ngamma = 1 10\n")
+        written, stdout = run_main(tmp_path, capsys, ["grid", str(cfg), "--method", "graphem"], to_file)
+        if to_file:
+            assert (written, stdout) == (GRID_TABLE.encode(), GRID_BEST)
+        else:
+            assert stdout == GRID_TABLE + GRID_BEST
+
+    def test_curve(self, tmp_path, capsys, to_file):
+        argv = ["curve", "log-sum", "1.0", "0.5", "--points", "11"]
+        written, stdout = run_main(tmp_path, capsys, argv, to_file)
+        assert (written, stdout) == ((CURVE_LOG_SUM.encode(), "") if to_file else (None, CURVE_LOG_SUM))
+
+    def test_export_dot(self, tmp_path, capsys, to_file):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text(DOT_MATRIX)
+        written, stdout = run_main(tmp_path, capsys, ["export-dot", str(matrix), "1e-10"], to_file)
+        assert (written, stdout) == ((DOT.encode(), "") if to_file else (None, DOT))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphit import (
     DRConfig,
@@ -10,7 +12,7 @@ from graphit import (
 )
 from graphit.em_stats import EMStats
 
-from oracles import forward_backward, random_spd
+from oracles import forward_backward, prox_quadratic_oracle, random_spd
 
 
 def random_instance(rng, n=3, isotropic=False):
@@ -82,16 +84,13 @@ class TestProxQuadratic:
             assert np.max(np.abs(resid)) <= 1e-10 * max(1.0, np.max(np.abs(A)))
 
     def test_isotropic_and_general_paths_agree(self):
+        # Isotropic and general Q share one solve; both must match the Kronecker oracle.
         rng = np.random.default_rng(5)
-        stats, _, _ = random_instance(rng)
-        sigma2 = 0.7
+        stats, Q_general, _ = random_instance(rng)
         V = rng.standard_normal((3, 3))
-        iso = prox_quadratic(V, stats, sigma2 * np.eye(3), 0.9)
-        # add an exactly-symmetric perturbation of zero to force the general path
-        Q = sigma2 * np.eye(3)
-        Q[0, 1] = Q[1, 0] = 1e-30
-        gen = prox_quadratic(V, stats, Q, 0.9)
-        np.testing.assert_allclose(iso, gen, atol=1e-9)
+        for Q in (0.7 * np.eye(3), Q_general):
+            expected = prox_quadratic_oracle(V, stats, Q, 0.9)
+            np.testing.assert_allclose(prox_quadratic(V, stats, Q, 0.9), expected, rtol=1e-12, atol=1e-12)
 
     def test_nonexpansive(self):
         rng = np.random.default_rng(6)
@@ -103,6 +102,34 @@ class TestProxQuadratic:
                 prox_quadratic(V1, stats, Q, 0.8) - prox_quadratic(V2, stats, Q, 0.8)
             )
             assert d_out <= np.linalg.norm(V1 - V2) + 1e-12
+
+
+@st.composite
+def prox_problems(draw):
+    """(V, stats, Q, step): n in 1..6, Q isotropic, diagonal or general SPD, Phi PSD of any rank."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["isotropic", "diagonal", "general"]))
+    rank = draw(st.integers(0, n))
+    step = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "isotropic":
+        Q = rng.uniform(0.5, 2.0) * np.eye(n)
+    elif kind == "diagonal":
+        Q = np.diag(rng.uniform(0.5, 2.0, size=n))
+    else:
+        Q = random_spd(rng, n, scale=1.0 / n)
+    B = rng.standard_normal((n, rank))
+    Phi = 0.5 * (B @ B.T + (B @ B.T).T)
+    stats = EMStats(Psi=np.eye(n), Phi=Phi, Delta=rng.standard_normal((n, n)) * n)
+    return rng.standard_normal((n, n)), stats, Q, step
+
+
+@given(prox_problems())
+def test_prox_quadratic_matches_kronecker_oracle(problem):
+    V, stats, Q, step = problem
+    expected = prox_quadratic_oracle(V, stats, Q, step)
+    error = np.linalg.norm(prox_quadratic(V, stats, Q, step) - expected)
+    assert error <= 1e-10 * np.linalg.norm(expected)
 
 
 class TestDouglasRachford:
