@@ -263,9 +263,10 @@ def potential_from_tuple(template: Potential, values: tuple[float, ...]) -> Pote
     return Potential(template.family, gamma=gamma, lam=lam)
 
 
-def _eval_grid_point(scenario: Scenario, method: str, values: tuple[float, ...]) -> float:
-    A_true, params, trajectory = _realization_data(scenario, 0)
-    A0 = default_init(scenario.n_x)
+def _eval_grid_point(
+    scenario: Scenario, method: str, data: tuple, A0: np.ndarray, values: tuple[float, ...]
+) -> float:
+    A_true, params, trajectory = data
     potential = potential_from_tuple(scenario.potentials[method], values)
     try:
         result = _fit(method, scenario, params, trajectory.observations, A0, potential=potential)
@@ -292,7 +293,9 @@ def grid_search(
     if method not in scenario.potentials:
         raise ConfigError(f"scenario has no potential for method {method}")
 
-    scores = _map(_eval_grid_point, [(scenario, method, tup) for tup in grid], jobs)
+    data = _realization_data(scenario, 0)
+    A0 = default_init(scenario.n_x)
+    scores = _map(_eval_grid_point, [(scenario, method, data, A0, tup) for tup in grid], jobs)
 
     best_idx = min(range(len(grid)), key=lambda i: (scores[i], i))
     table = list(zip([tuple(t) for t in grid], scores))
@@ -342,8 +345,10 @@ def export_dot(A: np.ndarray, threshold: float = 1e-10) -> str:
 
     Entry (i, j) above threshold in magnitude becomes the edge j -> i
     (column index drives row index), labeled with the entry value. Nodes
-    are 1-based and always all present.
+    are 1-based and always all present. A negative threshold is rejected.
     """
+    if not threshold >= 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")

@@ -17,16 +17,24 @@ until two consecutive steps agree to a few ulps,
 
 for Sigma_k (scaled by max|P_k|k-1|, from which it is computed) and S_k
 (scaled by max|S_k|), and repeats the settled values over the remaining
-steps. The step at which this happens is `FilterRun.steady_step`. The mean
-pass then runs the mean recursion with the per-step gains, and the
+steps. The step at which this happens is `FilterRun.steady_step`. When the
+covariances never settle (no process noise on a marginally stable model, or
+a diverging iterate) the covariance pass simply runs to K.
+
+The mean pass is the affine recurrence mu_k = M_k mu_{k-1} + G_k y_k with
+M_k = A - G_k H A. It steps one by one through the transient steps, which
+have distinct matrices, and evaluates the settled stretch, where M_k is the
+constant steady closed-loop matrix M, by doubling: with the carry folded
+into the first offset b_0, the pass with stride s = 1, 2, 4, ... adds
+M^s b_{j-s} to every b_j, after which b_j sums the last 2s terms of its
+iterate. ceil(log2 n) vectorised products replace n interpreted steps. The
 quadratic likelihood term takes one triangular solve per distinct factor.
-When the covariances never settle (no process noise on a marginally stable
-model, or a diverging iterate) the covariance pass simply runs to K.
 
 The smoother does the same: its gains change only up to the steady step,
 and its backward covariance recursion stops once it settles in the
 constant-gain stretch; the middle of that stretch is filled with the
-settled value.
+settled value. Its means run backward through the same scan on reversed
+views, so the constant smoother gain serves the first stretch of the scan.
 """
 
 from __future__ import annotations
@@ -95,14 +103,28 @@ def _segments(n: int, K: int) -> list[slice]:
     return [slice(j, j + 1) for j in range(n - 1)] + [slice(n - 1, K)]
 
 
-def _affine_scan(mats: list, offsets: np.ndarray, x: np.ndarray, order: range) -> np.ndarray:
-    """x <- mats[min(k, last)] x + offsets[k] for k in `order`; the iterates, indexed by k."""
-    out = np.empty_like(offsets)
-    last = len(mats) - 1
-    for k in order:
-        x = mats[min(k, last)].dot(x)
-        x += offsets[k]
-        out[k] = x
+def _run_scan(runs: list, offsets: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Iterates of x_j = M x_{j-1} + offsets[j] from x_{-1} = x.
+
+    `runs` lists (M, n) in step order: M serves the next n steps. A run of
+    one step is one matrix-vector product; a longer run is evaluated by
+    doubling, in ceil(log2 n) vectorised products. After the pass with
+    stride s, row j holds sum_{i=j-2s+1}^{j} M^{j-i} b_i, so once s >= n
+    every row holds its iterate.
+    """
+    out = offsets.copy()
+    start = 0
+    for M, n in runs:
+        b = out[start:start + n]
+        b[0] += M @ x
+        power, s = M, 1
+        while s < n:
+            b[s:] += b[:-s] @ power.T
+            s *= 2
+            if s < n:
+                power = power @ power
+        x = b[-1]
+        start += n
     return out
 
 
@@ -177,7 +199,8 @@ def kalman_filter(params: ModelParams, observations: np.ndarray) -> FilterRun:
     drive = np.empty((K, params.nx))
     for rows, gain in zip(steps, gains):
         drive[rows] = ys[rows] @ gain.T
-    means = _affine_scan([A - gain @ HA for gain in gains], drive, params.mu0, range(K))
+    runs = [(A - gain @ HA, rows.stop - rows.start) for rows, gain in zip(steps, gains)]
+    means = _run_scan(runs, drive, params.mu0)
     residuals = ys - np.vstack([params.mu0, means[:-1]]) @ HA.T
 
     quad = logdet = 0.0
@@ -242,10 +265,12 @@ def rts_smoother(params: ModelParams, filter_run: FilterRun) -> SmootherRun:
     # m_k = (mu_k - G_k A mu_k) + G_k m_{k+1}, with mu_k the filtered mean.
     prior_means = np.vstack([params.mu0, fmeans[:-1]])
     offsets = np.empty((K, params.nx))
+    runs = []
     for rows, G in zip(_segments(last + 1, K), distinct):
         offsets[rows] = prior_means[rows] - prior_means[rows] @ (G @ A).T
+        runs.append((G, rows.stop - rows.start))
     means = np.empty((K + 1, params.nx))
     means[K] = fmeans[K - 1]
-    means[:K] = _affine_scan(distinct, offsets, means[K], range(K - 1, -1, -1))
+    means[K - 1::-1] = _run_scan(runs[::-1], offsets[::-1], means[K])
 
     return SmootherRun(smoothed_means=means, smoothed_covs=covs, gains=gains)

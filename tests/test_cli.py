@@ -463,14 +463,25 @@ class TestMainCommand:
             ("", ["bench", "{cfg}", "--seed", "-1"]),
             ("edge_threshold = -1\n", ["bench", "{cfg}"]),
             ("target_norm = 0\n", ["bench", "{cfg}"]),
+            ("", ["export-dot", "{matrix}", "-1"]),
         ],
-        ids=["curve-points", "bench-threshold", "bench-seed", "config-edge-threshold", "config-target-norm"],
+        ids=[
+            "curve-points",
+            "bench-threshold",
+            "bench-seed",
+            "config-edge-threshold",
+            "config-target-norm",
+            "export-dot-threshold",
+        ],
     )
     def test_out_of_range_is_config_error(self, tmp_path, capsys, scenario_extra, argv):
         cfg = tmp_path / "quick.cfg"
         methods = "methods = graphit graphem mlem\n"
         cfg.write_text(QUICK_CFG.replace(methods, methods + scenario_extra))
-        argv = [str(cfg) if a == "{cfg}" else a for a in argv] + ["--out", str(tmp_path / "o")]
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("0,1\n1,0\n")
+        paths = {"{cfg}": str(cfg), "{matrix}": str(matrix)}
+        argv = [paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "o")]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphit import (
     SmootherRun,
@@ -12,7 +14,7 @@ from graphit import (
     simulate,
 )
 
-from oracles import random_stable_params
+from oracles import random_spd, random_stable_params
 
 
 def _stats_resummation(smoother):
@@ -86,6 +88,51 @@ class TestComputeStats:
         stats = compute_stats(rts_smoother(params, kalman_filter(params, traj.observations)))
         assert np.max(np.abs(stats.Phi - stats.Phi.T)) <= 1e-10
         assert np.linalg.eigvalsh(stats.Phi).min() >= -1e-10
+
+
+def _assert_matches_resummation(run):
+    stats = compute_stats(run)
+    for name, want in zip(("Psi", "Phi", "Delta"), _stats_resummation(run)):
+        got = getattr(stats, name)
+        if name == "Phi":
+            want = 0.5 * (want + want.T)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), name
+
+
+@given(
+    nx=st.integers(1, 6),
+    ny=st.integers(1, 6),
+    K=st.integers(1, 1000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_smoother_runs_match_resummation(nx, ny, K, seed):
+    # Smoother runs on stable models settle within a few dozen steps, so most
+    # of a long run is one repeated (covariance, gain) pair.
+    rng = np.random.default_rng(seed)
+    params = random_stable_params(rng, nx=nx, ny=ny)
+    ys = simulate(params, K=K, seed=seed).observations
+    _assert_matches_resummation(rts_smoother(params, kalman_filter(params, ys)))
+
+
+@given(
+    nx=st.integers(1, 6),
+    lengths=st.lists(st.integers(1, 300), min_size=1, max_size=8),
+    shared=st.sampled_from(["none", "covs", "gains"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hand_built_repeated_blocks_match_resummation(nx, lengths, shared, seed):
+    # Blocks of identical steps; with `shared`, one of the two arrays is the
+    # same across blocks, so a run boundary is set by the other one alone.
+    rng = np.random.default_rng(seed)
+    K = sum(lengths)
+    blocks = len(lengths)
+    cov_blocks = np.array([random_spd(rng, nx) for _ in range(1 if shared == "covs" else blocks)])
+    gain_blocks = rng.standard_normal((1 if shared == "gains" else blocks, nx, nx))
+    index = np.repeat(np.arange(blocks), lengths)
+    covs = np.concatenate([random_spd(rng, nx)[None], cov_blocks[index % len(cov_blocks)]])
+    gains = gain_blocks[index % len(gain_blocks)]
+    run = SmootherRun(smoothed_means=rng.standard_normal((K + 1, nx)), smoothed_covs=covs, gains=gains)
+    _assert_matches_resummation(run)
 
 
 def _stats_at(params, observations, A_anchor):

@@ -10,6 +10,7 @@ from graphit import (
     rts_smoother,
     simulate,
 )
+from graphit.kalman import _run_scan
 
 from oracles import nll_oracle, random_stable_params, smoother_oracle
 
@@ -137,6 +138,55 @@ class TestSteadyState:
         assert run.steady_step is not None
         assert run_scaled.steady_step == run.steady_step
         np.testing.assert_array_equal(run_scaled.filtered_means, c * run.filtered_means)
+
+
+def _loop_scan(runs, offsets, x):
+    """Per-step reference: x <- M x + offsets[j], one step at a time."""
+    out = np.empty_like(offsets)
+    j = 0
+    for M, n in runs:
+        for _ in range(n):
+            x = M @ x + offsets[j]
+            out[j] = x
+            j += 1
+    return out
+
+
+class TestRunScan:
+    """The doubling scan against a per-step loop, at 1e-12 relative to the iterates."""
+
+    @staticmethod
+    def _inputs(seed, nx, lengths):
+        rng = np.random.default_rng(seed)
+        mats = []
+        for _ in lengths:
+            M = rng.standard_normal((nx, nx))
+            mats.append(M * 0.95 / np.max(np.abs(np.linalg.eigvals(M))))
+        offsets = rng.standard_normal((sum(lengths), nx))
+        return list(zip(mats, lengths)), offsets, rng.standard_normal(nx)
+
+    @staticmethod
+    def _assert_close(got, want):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("stretch", [1, 2, 3, 64, 981])
+    def test_transients_then_stretch(self, stretch):
+        # The filter's layout: distinct matrices first, then the settled one.
+        runs, offsets, x = self._inputs(stretch, nx=5, lengths=[1, 1, 1, stretch])
+        self._assert_close(_run_scan(runs, offsets, x), _loop_scan(runs, offsets, x))
+
+    @pytest.mark.parametrize("stretch", [1, 2, 3, 64, 981])
+    def test_stretch_then_transients_on_reversed_views(self, stretch):
+        # The smoother's layout: it runs backward over reversed views, so the
+        # settled gain serves the first steps of the scan.
+        runs, offsets, x = self._inputs(stretch, nx=5, lengths=[stretch, 1, 1, 1])
+        want = _loop_scan(runs, offsets[::-1].copy(), x)
+        self._assert_close(_run_scan(runs, offsets[::-1], x), want)
+
+    def test_transient_only(self):
+        # Covariances that never settle: every step has its own matrix.
+        runs, offsets, x = self._inputs(3, nx=4, lengths=[1] * 50)
+        self._assert_close(_run_scan(runs, offsets, x), _loop_scan(runs, offsets, x))
 
 
 class TestRTSSmoother:
