@@ -15,15 +15,7 @@ from .algorithms import (
     mlem,
     objective,
 )
-from .cli import (
-    BenchmarkRow,
-    Scenario,
-    export_csv,
-    export_dot,
-    grid_search,
-    load_scenario,
-    run_benchmark,
-)
+from .cli import grid_search, run_benchmark
 from .em_stats import EMStats, compute_stats, q_quadratic
 from .exceptions import (
     ConfigError,
@@ -34,6 +26,7 @@ from .exceptions import (
     SingularPredictiveCovarianceError,
     SingularStatisticsError,
 )
+from .export import BenchmarkRow, export_csv, export_dot
 from .kalman import FilterRun, SmootherRun, kalman_filter, rts_smoother
 from .metrics import EdgeConfusion, accuracy, edge_confusion, f1, rmse
 from .model import (
@@ -53,6 +46,7 @@ from .penalties import (
     rho_prime,
     weight_matrix,
 )
+from .scenario import Scenario, load_scenario
 from .solver import (
     DRConfig,
     SolverReport,

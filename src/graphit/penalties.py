@@ -22,9 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-FAMILIES = ("log-sum", "atan", "mangasarian", "mcp", "scad", "l1")
-
-_NEEDS_LAM = {"log-sum", "atan", "mangasarian", "mcp"}
+# The Potential field that holds each family's shape hyperparameter (None for
+# l1, which has gamma only), and the value that field must exceed.
+SHAPE_FIELD = {"log-sum": "lam", "atan": "lam", "mangasarian": "lam", "mcp": "lam", "scad": "a", "l1": None}
+_SHAPE_FLOOR = {"lam": 0, "a": 2}
+FAMILIES = tuple(SHAPE_FIELD)
 
 
 @dataclass(frozen=True)
@@ -46,12 +48,11 @@ class Potential:
             raise ValueError(f"unknown potential family {self.family!r}; choose from {FAMILIES}")
         if not self.gamma > 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.family in _NEEDS_LAM:
-            if self.lam is None or not self.lam > 0:
-                raise ValueError(f"{self.family} requires lam > 0, got {self.lam}")
-        if self.family == "scad":
-            if self.a is None or not self.a > 2:
-                raise ValueError(f"scad requires a > 2, got {self.a}")
+        shape = SHAPE_FIELD[self.family]
+        if shape is not None:
+            value, floor = getattr(self, shape), _SHAPE_FLOOR[shape]
+            if value is None or not value > floor:
+                raise ValueError(f"{self.family} requires {shape} > {floor}, got {value}")
 
 
 def rho(p: Potential, u) -> np.ndarray | float:

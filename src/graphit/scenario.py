@@ -1,0 +1,187 @@
+"""Scenario configs: the `Scenario` record and the INI reader that fills it.
+
+Scenario files use an INI-style ``key = value`` grammar (see README for the
+full schema). An absent optional key leaves the default of its `Scenario` or
+`DRConfig` field, so each default is written once, on the dataclass.
+"""
+
+from __future__ import annotations
+
+import configparser
+from dataclasses import dataclass, field, replace
+from pathlib import Path
+
+from .exceptions import ConfigError
+from .penalties import SHAPE_FIELD, Potential
+from .solver import DRConfig
+
+METHODS = ("graphit", "graphem", "mlem")
+PENALIZED = ("graphit", "graphem")  # the methods that take a potential
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One benchmark setup: model sizes, noise levels, methods, seeds."""
+
+    scenario_id: str
+    n_x: int
+    n_y: int
+    s: int
+    k: int
+    sigma_q: float = 0.1
+    sigma_r: float = 0.1
+    sigma_0: float = 1e-4
+    n_realizations: int = 1
+    master_seed: int = 0
+    methods: tuple[str, ...] = METHODS
+    potentials: dict[str, Potential] = field(default_factory=dict)
+    grids: dict[str, tuple[tuple[float, ...], ...]] = field(default_factory=dict)
+    epsilon: float = 1e-3
+    max_outer: int = 50
+    dr: DRConfig = field(default_factory=DRConfig)
+    edge_threshold: float = 1e-10
+    target_norm: float = 0.9
+
+    def __post_init__(self):
+        if min(self.n_x, self.n_y, self.k, self.n_realizations) < 1:
+            raise ConfigError("dimensions, horizon and realization count must be positive")
+        if not 1 <= self.s <= self.n_x * self.n_x:
+            raise ConfigError(f"support size s={self.s} outside [1, {self.n_x * self.n_x}]")
+        if min(self.sigma_q, self.sigma_r, self.sigma_0) <= 0:
+            raise ConfigError("sigma_q, sigma_r and sigma_0 must be > 0")
+        if not self.edge_threshold >= 0:
+            raise ConfigError(f"edge_threshold must be >= 0, got {self.edge_threshold}")
+        if not self.target_norm > 0:
+            raise ConfigError(f"target_norm must be > 0, got {self.target_norm}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+        if not self.methods:
+            raise ConfigError("at least one method must be selected")
+        for m in self.methods:
+            if m not in METHODS:
+                raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
+            if m in PENALIZED and m not in self.potentials:
+                raise ConfigError(f"method {m} requires a [potential.{m}] section")
+
+
+def potential_from_tuple(template: Potential, values: tuple[float, ...]) -> Potential:
+    """Fill a potential's free hyperparameters from a grid tuple.
+
+    Tuple layout: (gamma,) for l1, (gamma, shape) otherwise, where the shape
+    is lam, or a for scad.
+    """
+    shape = SHAPE_FIELD[template.family]
+    if shape is None:
+        (gamma,) = values
+        return Potential(template.family, gamma=gamma)
+    gamma, value = values
+    return Potential(template.family, gamma=gamma, **{shape: value})
+
+
+# Optional keys and their types, by section; each fills the Scenario field of
+# the same name. [estimator] keys named dr_<field> fill the DRConfig instead.
+_SCENARIO_KEYS = {
+    "n_y": int, "sigma_q": float, "sigma_r": float, "sigma_0": float,
+    "n_realizations": int, "master_seed": int, "edge_threshold": float, "target_norm": float,
+}
+_ESTIMATOR_KEYS = {"epsilon": float, "max_outer": int}
+_DR_KEYS = {"step": float, "relaxation": float, "tol": float, "max_iter": int}
+# The config key of each Potential shape field.
+_SHAPE_KEYS = {"lam": "lambda", "a": "a"}
+
+
+def _get_typed(section, key, cast):
+    if key not in section:
+        raise ConfigError(f"missing key {key!r} in section [{section.name}]")
+    raw = section[key]
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ConfigError(f"cannot parse {key} = {raw!r} in section [{section.name}]") from None
+
+
+def _present(section, types: dict, prefix: str = "") -> dict:
+    """The keys of `types` that the section holds (named `prefix` + key there), parsed."""
+    return {key: _get_typed(section, prefix + key, cast) for key, cast in types.items() if prefix + key in section}
+
+
+def _parse_floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.split())
+
+
+def _load_potential(cp: configparser.ConfigParser, method: str) -> Potential | None:
+    name = f"potential.{method}"
+    if name not in cp:
+        return None
+    sec = cp[name]
+    default_family = "l1" if method == "graphem" else None
+    family = sec.get("family", default_family)
+    if family is None:
+        raise ConfigError(f"missing key 'family' in section [{name}]")
+    if method == "graphem" and family != "l1":
+        raise ConfigError("graphem uses the l1 potential only")
+    gamma = _get_typed(sec, "gamma", float)
+    shapes = {shape: _get_typed(sec, key, float) for shape, key in _SHAPE_KEYS.items() if key in sec}
+    try:
+        return Potential(family, gamma=gamma, **shapes)
+    except ValueError as err:
+        raise ConfigError(f"invalid [{name}]: {err}") from None
+
+
+def _load_grid(cp: configparser.ConfigParser, method: str, family: str):
+    name = f"grid.{method}"
+    if name not in cp:
+        return None
+    sec = cp[name]
+    gammas = _parse_floats(sec.get("gamma", ""))
+    if not gammas:
+        raise ConfigError(f"missing key 'gamma' in section [{name}]")
+    shape = SHAPE_FIELD[family]
+    if shape is None:
+        return tuple((g,) for g in gammas)
+    shape_key = _SHAPE_KEYS[shape]
+    shapes = _parse_floats(sec.get(shape_key, ""))
+    if not shapes:
+        raise ConfigError(f"missing key {shape_key!r} in section [{name}]")
+    return tuple((g, s) for g in gammas for s in shapes)
+
+
+def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
+    """Parse a scenario config file, then apply CLI overrides on top."""
+    path = Path(path)
+    cp = configparser.ConfigParser(interpolation=None)
+    if not cp.read(path):
+        raise ConfigError(f"cannot read config file {path}")
+    if "scenario" not in cp:
+        raise ConfigError(f"{path}: missing [scenario] section")
+    sec = cp["scenario"]
+    # A proxy of an absent section reads as empty.
+    est = configparser.SectionProxy(cp, "estimator")
+
+    values = {key: _get_typed(sec, key, int) for key in ("n_x", "s", "k")}
+    values["n_y"] = values["n_x"]
+    values.update(_present(sec, _SCENARIO_KEYS))
+    values.update(_present(est, _ESTIMATOR_KEYS))
+    if "methods" in sec:
+        values["methods"] = tuple(sec["methods"].split())
+    potentials = {}
+    grids = {}
+    for method in PENALIZED:
+        pot = _load_potential(cp, method)
+        if pot is not None:
+            potentials[method] = pot
+            grid = _load_grid(cp, method, pot.family)
+            if grid is not None:
+                grids[method] = grid
+
+    try:
+        dr = DRConfig(**_present(est, _DR_KEYS, prefix="dr_"))
+        scenario = Scenario(
+            scenario_id=sec.get("id", path.stem), potentials=potentials, grids=grids, dr=dr, **values
+        )
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+
+    if overrides:
+        scenario = replace(scenario, **overrides)
+    return scenario

@@ -30,14 +30,9 @@ from graphit import (
     rts_smoother,
     simulate,
 )
-from graphit.cli import (
-    Scenario,
-    grid_search,
-    main,
-    potential_from_tuple,
-    run_benchmark,
-)
+from graphit.cli import grid_search, main, run_benchmark
 from graphit.em_stats import EMStats, compute_stats
+from graphit.scenario import Scenario, potential_from_tuple
 
 from oracles import forward_backward, nll_oracle, random_spd, random_stable_params
 

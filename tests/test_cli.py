@@ -1,24 +1,25 @@
+import importlib.util
 import math
+import os
 import re
+import subprocess
+import sys
+from concurrent.futures import Future
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphit.cli as cli
 from graphit import ConfigError, Potential, Trajectory
-from graphit.cli import (
-    BenchmarkRow,
-    Scenario,
-    _run_realization,
-    export_csv,
-    export_dot,
-    grid_search,
-    load_scenario,
-    main,
-    potential_from_tuple,
-    run_benchmark,
-)
+from graphit.cli import _run_realization, grid_search, main, run_benchmark
+from graphit.export import BenchmarkRow, _fmt5, export_csv, export_dot
+from graphit.scenario import Scenario, load_scenario, potential_from_tuple
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_scenario(**overrides):
@@ -191,7 +192,7 @@ class TestLoadScenario:
             load_scenario(cfg)
 
     def test_repo_configs_parse(self):
-        root = Path(__file__).resolve().parents[1] / "configs"
+        root = ROOT / "configs"
         for cfg in sorted(root.glob("*.cfg")):
             scenario = load_scenario(cfg)
             assert scenario.n_realizations >= 1
@@ -220,6 +221,32 @@ class TestRunBenchmark:
         serial = export_csv(run_benchmark(scenario, jobs=1), include_times=False)
         parallel = export_csv(run_benchmark(scenario, jobs=2), include_times=False)
         assert serial == parallel
+
+    def test_pool_size_is_capped_by_task_count(self, monkeypatch):
+        started = []
+
+        class InlineExecutor:
+            """Records its worker count and runs each task at submission."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+        assert cli._map(pow, [(2, 3), (3, 2)], 500) == [8, 9]
+        assert cli._map(pow, [(2, 3), (3, 2), (2, 2)], 2) == [8, 9, 4]
+        assert cli._map(pow, [(2, 3)], 500) == [8]  # one task runs serially
+        assert started == [2, 2]
 
     def test_failures_recorded_not_raised(self):
         # N_y > N_x with negligible observation noise makes the predictive
@@ -330,6 +357,25 @@ class TestExportDot:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             export_dot(np.zeros((2, 3)), 0.0)
+
+
+class TestFmt5:
+    @settings(max_examples=2000)
+    @given(st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: x != 0))
+    def test_five_significant_digits_in_fixed_notation(self, x):
+        text = _fmt5(x)
+        assert "e" not in text.lower()
+        significant = text.lstrip("-").replace(".", "").lstrip("0")
+        assert len(significant) >= 5
+        assert set(significant[5:]) <= {"0"}
+        # Decimal, because rounding the largest floats up overflows a float.
+        assert abs(Decimal(text) - Decimal(x)) <= Decimal("5e-5") * abs(Decimal(x))
+
+    @pytest.mark.parametrize(
+        "x, text", [(0.0, "0.0000"), (-0.0, "0.0000"), (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")]
+    )
+    def test_special_values(self, x, text):
+        assert _fmt5(x) == text
 
 
 class TestExportCsv:
@@ -464,6 +510,7 @@ class TestMainCommand:
             ("edge_threshold = -1\n", ["bench", "{cfg}"]),
             ("target_norm = 0\n", ["bench", "{cfg}"]),
             ("", ["export-dot", "{matrix}", "-1"]),
+            ("", ["bench", "{cfg}", "--jobs", "0"]),
         ],
         ids=[
             "curve-points",
@@ -472,6 +519,7 @@ class TestMainCommand:
             "config-edge-threshold",
             "config-target-norm",
             "export-dot-threshold",
+            "bench-jobs",
         ],
     )
     def test_out_of_range_is_config_error(self, tmp_path, capsys, scenario_extra, argv):
@@ -487,6 +535,60 @@ class TestMainCommand:
         assert err.startswith("configuration error: ")
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "{cfg}", "--out", "{file}"],
+            ["grid", "{cfg}", "--out", "{nodir}"],
+            ["curve", "l1", "1.0", "--out", "{nodir}"],
+            ["export-dot", "{matrix}", "0", "--out", "{nodir}"],
+        ],
+        ids=["bench-out-is-a-file", "grid-out-dir-missing", "curve-out-dir-missing", "export-dot-out-dir-missing"],
+    )
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys, monkeypatch, argv):
+        def no_fit(*args):
+            raise AssertionError("fitted before the output was found unwritable")
+
+        monkeypatch.setattr(cli, "_fit", no_fit)
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text(QUICK_CFG + "\n[grid.graphem]\ngamma = 1 10\n")
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("0,1\n1,0\n")
+        a_file = tmp_path / "a-file"
+        a_file.write_text("")
+        paths = {"{cfg}": cfg, "{matrix}": matrix, "{file}": a_file, "{nodir}": tmp_path / "absent" / "x.csv"}
+        argv = [str(paths.get(a, a)) for a in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert argv[-1] in err
+        assert "Traceback" not in err
+
+    def test_traced_names_are_looked_up_in_cli(self, tmp_path, monkeypatch):
+        """Every name the benchmark's tracer wraps on graphit.cli is called through it."""
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracing)
+        spec.loader.exec_module(tracing)
+        calls = dict.fromkeys(name for name in tracing.CALLER_SPANS if name != "cli_main")
+        assert len(calls) == 13
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+            calls[name] = 0
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text(QUICK_CFG + "\n[grid.graphem]\ngamma = 10\n")
+        assert main(["bench", str(cfg), "--out", str(tmp_path / "o"), "--realizations", "1"]) == 0
+        assert main(["grid", str(cfg), "--method", "graphem"]) == 0
+        assert [name for name, count in calls.items() if count == 0] == []
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
@@ -510,3 +612,19 @@ class TestGoldenOutput:
         matrix.write_text(DOT_MATRIX)
         written, stdout = run_main(tmp_path, capsys, ["export-dot", str(matrix), "1e-10"], to_file)
         assert (written, stdout) == ((DOT.encode(), "") if to_file else (None, DOT))
+
+
+def test_python_dash_m_graphit(tmp_path):
+    """The package runs as ``python -m graphit``."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "graphit", *argv], capture_output=True, cwd=tmp_path, env=env)
+
+    curve = run("curve", "l1", "1", "--points", "3")
+    assert (curve.returncode, curve.stdout) == (0, b"u,rho\n0.0000,0.0000\n1.0000,1.0000\n2.0000,2.0000\n")
+    missing = run("export-dot", "missing.csv", "0")
+    assert missing.returncode == 1
+    assert missing.stderr.startswith(b"configuration error: ")
+    assert b"Traceback" not in missing.stderr
