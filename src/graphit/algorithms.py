@@ -28,7 +28,7 @@ from .exceptions import SingularPredictiveCovarianceError, SingularStatisticsErr
 from .kalman import kalman_filter, rts_smoother
 from .model import ModelParams, spectral_norm
 from .penalties import Potential, penalty_value, weight_matrix
-from .solver import DRConfig, douglas_rachford
+from .solver import DRConfig, QFactors, douglas_rachford
 
 
 @dataclass(frozen=True)
@@ -132,10 +132,14 @@ def graphit(
     if cfg.potential is None:
         raise ValueError("graphit requires a potential; use mlem for the unpenalized estimator")
     Q = params_rest.Q
+    q_factors = None
 
     def step(stats: EMStats, A_prev: np.ndarray, _i: int) -> np.ndarray:
+        nonlocal q_factors
+        if q_factors is None:  # once per fit, after the first filter pass has checked Q
+            q_factors = QFactors.of(Q)
         Omega = weight_matrix(cfg.potential, A_prev)
-        return douglas_rachford(stats, Q, Omega, A_prev, cfg.dr).minimizer
+        return douglas_rachford(stats, Q, Omega, A_prev, cfg.dr, q_factors).minimizer
 
     return _outer_loop(observations, params_rest, A0, cfg, step)
 

@@ -62,11 +62,14 @@ def compute_stats(smoother: SmootherRun) -> EMStats:
     return EMStats(Psi=Psi, Phi=0.5 * (Phi + Phi.T), Delta=Delta)
 
 
-def q_quadratic(A: np.ndarray, stats: EMStats, Q: np.ndarray) -> float:
+def q_quadratic(A: np.ndarray, stats: EMStats, Q: np.ndarray, Q_cholesky: tuple | None = None) -> float:
     """Quadratic transition term of the EM bound.
 
     Returns 1/2 tr(Q^{-1} (Psi - Delta A^T - A Delta^T + A Phi A^T)),
-    evaluated through a Cholesky solve against Q.
+    evaluated through a Cholesky solve against Q. A caller holding
+    `Q_cholesky = cho_factor(Q, lower=True)` passes it to skip the factorization.
     """
+    if Q_cholesky is None:
+        Q_cholesky = cho_factor(Q, lower=True)
     inner = stats.Psi - stats.Delta @ A.T - A @ stats.Delta.T + A @ stats.Phi @ A.T
-    return 0.5 * float(np.trace(cho_solve(cho_factor(Q, lower=True), inner)))
+    return 0.5 * float(np.trace(cho_solve(Q_cholesky, inner)))

@@ -57,9 +57,11 @@ class Scenario:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if not self.methods:
             raise ConfigError("at least one method must be selected")
-        for m in self.methods:
+        for i, m in enumerate(self.methods):
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
+            if m in self.methods[:i]:
+                raise ConfigError(f"method {m!r} is listed more than once")
             if m in PENALIZED and m not in self.potentials:
                 raise ConfigError(f"method {m} requires a [potential.{m}] section")
 
@@ -88,6 +90,13 @@ _ESTIMATOR_KEYS = {"epsilon": float, "max_outer": int}
 _DR_KEYS = {"step": float, "relaxation": float, "tol": float, "max_iter": int}
 # The config key of each Potential shape field.
 _SHAPE_KEYS = {"lam": "lambda", "a": "a"}
+# Every key each kind of section may hold; "potential." and "grid." cover [potential.<method>] and [grid.<method>].
+_KNOWN_KEYS = {
+    "scenario": {"id", "n_x", "s", "k", "methods", *_SCENARIO_KEYS},
+    "estimator": {*_ESTIMATOR_KEYS, *("dr_" + key for key in _DR_KEYS)},
+    "potential.": {"family", "gamma", *_SHAPE_KEYS.values()},
+    "grid.": {"gamma", *_SHAPE_KEYS.values()},
+}
 
 
 def _get_typed(section, key, cast):
@@ -150,10 +159,22 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
     """Parse a scenario config file, then apply CLI overrides on top."""
     path = Path(path)
     cp = configparser.ConfigParser(interpolation=None)
-    if not cp.read(path):
+    try:
+        read = cp.read(path)
+    except configparser.Error as err:
+        raise ConfigError(f"cannot parse config file: {err}") from None
+    if not read:
         raise ConfigError(f"cannot read config file {path}")
     if "scenario" not in cp:
         raise ConfigError(f"{path}: missing [scenario] section")
+    for name in cp.sections():
+        head, dot, _ = name.partition(".")
+        known = _KNOWN_KEYS.get(head + dot)
+        if known is None:
+            continue
+        unknown = [key for key in cp[name] if key not in known]
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in section [{name}]")
     sec = cp["scenario"]
     # A proxy of an absent section reads as empty.
     est = configparser.SectionProxy(cp, "estimator")

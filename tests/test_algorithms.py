@@ -7,6 +7,7 @@ from graphit import (
     DRConfig,
     EstimatorConfig,
     ModelParams,
+    NotPositiveDefiniteError,
     Potential,
     default_init,
     generate_sparse_A,
@@ -106,6 +107,15 @@ class TestGraphIT:
         _, params, traj = small_problem()
         with pytest.raises(ValueError):
             graphit(traj.observations, params, default_init(4), EstimatorConfig())
+
+    def test_singular_Q_is_typed_error(self):
+        # The filter and smoother accept Q = 0 here; the M-step needs Q^{-1}.
+        params = ModelParams(
+            A=0.5 * np.eye(3), H=np.eye(3), Q=np.zeros((3, 3)), R=0.1 * np.eye(3), mu0=np.zeros(3), Sigma0=0.1 * np.eye(3)
+        )
+        observations = np.random.default_rng(0).standard_normal((20, 3))
+        with pytest.raises(NotPositiveDefiniteError, match="Q"):
+            graphit(observations, params, default_init(3), EstimatorConfig(potential=L1))
 
     def test_cap_stopping(self):
         _, params, traj = small_problem()

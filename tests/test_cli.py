@@ -537,6 +537,37 @@ class TestMainCommand:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
+        "text, fragments",
+        [
+            (QUICK_CFG.replace("k = 60\n", "k = 60\nsigma_qq = 5\n"), ["'sigma_qq'", "[scenario]"]),
+            (QUICK_CFG + "\n[estimator]\ndr_tols = 1e-8\n", ["'dr_tols'", "[estimator]"]),
+            (QUICK_CFG.replace("lambda = 0.1\n", "lambda = 0.1\nlamda = 0.2\n"), ["'lamda'", "[potential.graphit]"]),
+            (QUICK_CFG + "\n[grid.graphem]\ngamma = 1 10\ngammas = 3\n", ["'gammas'", "[grid.graphem]"]),
+            (QUICK_CFG.replace("graphit graphem mlem", "mlem graphit mlem"), ["'mlem'", "more than once"]),
+            (QUICK_CFG.replace("k = 60\n", "k = 60\nk = 70\n"), ["'k'", "already exists"]),
+            (QUICK_CFG.replace("k = 60\n", "k\n"), ["cannot parse", "'k"]),
+        ],
+        ids=[
+            "unknown-scenario-key",
+            "unknown-estimator-key",
+            "unknown-potential-key",
+            "unknown-grid-key",
+            "repeated-method",
+            "repeated-key",
+            "key-without-value",
+        ],
+    )
+    def test_config_file_error_names_the_culprit(self, tmp_path, capsys, text, fragments):
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text(text)
+        assert main(["bench", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert all(fragment in err for fragment in fragments), err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["bench", "{cfg}", "--out", "{file}"],
@@ -615,15 +646,18 @@ class TestGoldenOutput:
 
 
 def test_python_dash_m_graphit(tmp_path):
-    """The package runs as ``python -m graphit``."""
+    """The package runs as ``python -m graphit``, and its CLI module as ``python -m graphit.cli``."""
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
-    def run(*argv):
-        return subprocess.run([sys.executable, "-m", "graphit", *argv], capture_output=True, cwd=tmp_path, env=env)
+    def run(*argv, module="graphit"):
+        return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, cwd=tmp_path, env=env)
 
+    golden = b"u,rho\n0.0000,0.0000\n1.0000,1.0000\n2.0000,2.0000\n"
     curve = run("curve", "l1", "1", "--points", "3")
-    assert (curve.returncode, curve.stdout) == (0, b"u,rho\n0.0000,0.0000\n1.0000,1.0000\n2.0000,2.0000\n")
+    assert (curve.returncode, curve.stdout) == (0, golden)
+    module_curve = run("curve", "l1", "1", "--points", "3", module="graphit.cli")
+    assert (module_curve.returncode, module_curve.stdout) == (0, golden)
     missing = run("export-dot", "missing.csv", "0")
     assert missing.returncode == 1
     assert missing.stderr.startswith(b"configuration error: ")

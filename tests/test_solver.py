@@ -12,7 +12,7 @@ from graphit import (
 )
 from graphit.em_stats import EMStats
 
-from oracles import forward_backward, prox_quadratic_oracle, random_spd
+from oracles import forward_backward, prox_quadratic_oracle, random_spd, reference_douglas_rachford
 
 
 def random_instance(rng, n=3, isotropic=False):
@@ -173,6 +173,17 @@ class TestDouglasRachford:
                     <= surrogate_value(A0, stats, Q, Omega) + 1e-12
                 )
 
+    def test_reports_fallback(self):
+        # The minimizer is 0.6; one sweep from it stops at prox_l1(0.6) = 0.2, a larger objective.
+        stats = EMStats(Psi=np.array([[1.0]]), Phi=np.array([[1.0]]), Delta=np.array([[1.0]]))
+        Q, Omega, cfg = np.array([[1.0]]), np.array([[0.4]]), DRConfig(max_iter=1)
+        at_minimizer = douglas_rachford(stats, Q, Omega, np.array([[0.6]]), cfg)
+        assert at_minimizer.fell_back
+        assert at_minimizer.minimizer[0, 0] == 0.6
+        from_afar = douglas_rachford(stats, Q, Omega, np.array([[3.0]]), cfg)
+        assert not from_afar.fell_back
+        assert from_afar.minimizer[0, 0] == pytest.approx(2.6, abs=1e-15)
+
     def test_fixed_point_barely_moves(self):
         from graphit.solver import effective_prox_scale
 
@@ -195,3 +206,37 @@ class TestDouglasRachford:
             DRConfig(tol=0.0)
         with pytest.raises(ValueError):
             DRConfig(max_iter=0)
+
+
+@st.composite
+def dr_problems(draw):
+    """(stats, Q, Omega, A_init, cfg): n in 1..8, Q isotropic, diagonal or general SPD,
+    Omega with zeros, relaxation in (0, 2), tol >= 1e-10."""
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["isotropic", "diagonal", "general"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "isotropic":
+        Q = rng.uniform(0.5, 2.0) * np.eye(n)
+    elif kind == "diagonal":
+        Q = np.diag(rng.uniform(0.1, 2.0, size=n))
+    else:
+        Q = random_spd(rng, n, scale=1.0 / n)
+    stats = EMStats(Psi=random_spd(rng, n), Phi=random_spd(rng, n), Delta=rng.standard_normal((n, n)) * n)
+    Omega = rng.uniform(0.0, 1.5, size=(n, n)) * (rng.uniform(size=(n, n)) < 0.7)
+    cfg = DRConfig(
+        step=10.0 ** draw(st.floats(-1.0, 1.0)),
+        relaxation=draw(st.one_of(st.just(1.0), st.floats(0.05, 1.95))),
+        tol=10.0 ** draw(st.floats(-10.0, -3.0)),
+        max_iter=draw(st.sampled_from([1, 2, 3, 2000])),
+    )
+    return stats, Q, Omega, rng.standard_normal((n, n)), cfg
+
+
+@given(dr_problems())
+def test_douglas_rachford_matches_reference_loop(problem):
+    stats, Q, Omega, A_init, cfg = problem
+    expected, iterations, _, converged = reference_douglas_rachford(stats, Q, Omega, A_init, cfg)
+    report = douglas_rachford(stats, Q, Omega, A_init, cfg)
+    assert report.iterations == iterations
+    assert report.converged == converged
+    assert np.linalg.norm(report.minimizer - expected) <= 1e-12 * (1.0 + np.linalg.norm(expected))
