@@ -15,7 +15,6 @@ from .algorithms import (
     mlem,
     objective,
 )
-from .cli import grid_search, run_benchmark
 from .em_stats import EMStats, compute_stats, q_quadratic
 from .exceptions import (
     ConfigError,
@@ -112,3 +111,15 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The harness lives in graphit.cli, imported on first use so that
+# `python -m graphit.cli` finds that module not yet imported.
+_HARNESS = ("grid_search", "run_benchmark")
+
+
+def __getattr__(name):
+    if name in _HARNESS:
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

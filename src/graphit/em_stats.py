@@ -12,11 +12,11 @@ Sigma_k^s G_{k-1}^T + mu_k^s (mu_{k-1}^s)^T. These feed a convex quadratic
 that upper-bounds the negative log-likelihood up to an additive constant,
 with equality at the matrix the smoother was run with.
 
-The covariance parts are summed over runs of consecutive steps with the
-same (Sigma_k^s, G_{k-1}) pair, found by comparing neighbouring steps
-exactly: each distinct pair enters once, weighted by the length of its run.
-A smoother run whose covariances settle has a few dozen distinct pairs
-whatever K; when they never settle, every step is a run of its own.
+The covariance parts are summed over the smoother's runs of consecutive
+steps with the same (Sigma_k^s, G_{k-1}) pair: each pair enters once,
+weighted by the length of its run, in one product over all runs. A smoother
+run whose covariances settle has a few dozen runs whatever K; when they
+never settle, every step is a run of its own.
 """
 
 from __future__ import annotations
@@ -39,26 +39,20 @@ class EMStats:
 def compute_stats(smoother: SmootherRun) -> EMStats:
     """Accumulate Psi, Phi, Delta from a smoother run with K >= 1 steps."""
     means = smoother.smoothed_means
-    covs = smoother.smoothed_covs
-    gains = smoother.gains
-    if gains.shape[0] < 1:
+    covs, gains = smoother.smoothed_covs, smoother.gains
+    if smoother.horizon < 1:
         raise ValueError("smoother run must cover at least one step")
 
-    # first[k]: step k starts a run of identical (Sigma_{k+1}^s, G_k) pairs.
-    K, n = gains.shape[0], gains.shape[1]
-    first = np.ones(K, dtype=bool)
-    first[1:] = (covs[2:] != covs[1:-1]).any(axis=(1, 2)) | (gains[1:] != gains[:-1]).any(axis=(1, 2))
-    starts = np.flatnonzero(first)
-    counts = np.diff(starts, append=K).astype(float)
-    run_covs = covs[1:][starts]
-    cov_sum = (counts @ run_covs.reshape(len(starts), -1)).reshape(n, n)
+    runs, n = covs.shape[0], covs.shape[1]
+    counts = smoother.run_lengths.astype(float)
+    cov_sum = (counts @ covs.reshape(runs, -1)).reshape(n, n)
 
     Psi = cov_sum + means[1:].T @ means[1:]
     # Phi's covariances are Sigma_0^s..Sigma_{K-1}^s: Psi's without Sigma_K^s, with Sigma_0^s.
-    Phi = covs[0] + (cov_sum - covs[K]) + means[:-1].T @ means[:-1]
+    Phi = smoother.initial_cov + (cov_sum - covs[-1]) + means[:-1].T @ means[:-1]
     # sum_r count_r Sigma_r G_r^T as one product over the stacked (run, column) axis.
-    weighted = (counts[:, None, None] * run_covs).transpose(1, 0, 2).reshape(n, -1)
-    Delta = weighted @ gains[starts].transpose(0, 2, 1).reshape(-1, n) + means[1:].T @ means[:-1]
+    weighted = (counts[:, None, None] * covs).transpose(1, 0, 2).reshape(n, -1)
+    Delta = weighted @ gains.transpose(0, 2, 1).reshape(-1, n) + means[1:].T @ means[:-1]
     return EMStats(Psi=Psi, Phi=0.5 * (Phi + Phi.T), Delta=Delta)
 
 

@@ -168,10 +168,13 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
     if "scenario" not in cp:
         raise ConfigError(f"{path}: missing [scenario] section")
     for name in cp.sections():
-        head, dot, _ = name.partition(".")
+        head, dot, method = name.partition(".")
         known = _KNOWN_KEYS.get(head + dot)
-        if known is None:
-            continue
+        if known is None or (dot and method not in PENALIZED):
+            raise ConfigError(
+                f"unknown section [{name}]; sections are [scenario], [estimator], "
+                f"and [potential.<method>], [grid.<method>] for method in {PENALIZED}"
+            )
         unknown = [key for key in cp[name] if key not in known]
         if unknown:
             raise ConfigError(f"unknown key {unknown[0]!r} in section [{name}]")

@@ -9,11 +9,16 @@ proximal-gradient loop. `reference_douglas_rachford` is the library's
 Douglas-Rachford loop as it was before its sweep was restructured: one
 temporary per operation, both factorizations per call, so the rewritten
 solver can be checked iterate for iterate.
+
+The library holds filter and smoother covariances in run-length form;
+`dense_filter` and `dense_smoother` expand them to one row per step, and
+`smoother_run` builds a run from dense arrays, every step a run of its own.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -99,16 +104,57 @@ def _reference_factor(S, step):
     return factor
 
 
+def _expand_filter_runs(values, K):
+    """Rows of a filter field, one per step: each value serves one step, the last the rest."""
+    return np.repeat(values, [1] * (len(values) - 1) + [K - len(values) + 1], axis=0)
+
+
+def dense_filter(run: FilterRun) -> SimpleNamespace:
+    """The filter's per-step fields with one row per step k = 1..K."""
+    K = run.horizon
+    return SimpleNamespace(
+        filtered_means=run.filtered_means,
+        filtered_covs=_expand_filter_runs(run.filtered_covs, K),
+        residuals=run.residuals,
+        predictive_covs=_expand_filter_runs(run.predictive_covs, K),
+        predicted_covs=_expand_filter_runs(run.predicted_covs, K),
+        cross_covs=_expand_filter_runs(run.cross_covs, K),
+    )
+
+
+def dense_smoother(run: SmootherRun) -> SimpleNamespace:
+    """Smoothed means and covariances of x_0..x_K and the gains G_0..G_{K-1}, one row per step."""
+    covs = np.repeat(run.smoothed_covs, run.run_lengths, axis=0)
+    return SimpleNamespace(
+        smoothed_means=run.smoothed_means,
+        smoothed_covs=np.concatenate([run.initial_cov[None], covs]),
+        gains=np.repeat(run.gains, run.run_lengths, axis=0),
+    )
+
+
+def smoother_run(means, covs, gains) -> SmootherRun:
+    """A smoother run from dense (K+1, n), (K+1, n, n) and (K, n, n) arrays."""
+    return SmootherRun(
+        smoothed_means=means,
+        initial_cov=covs[0],
+        smoothed_covs=covs[1:],
+        gains=gains,
+        run_lengths=np.ones(len(gains), dtype=int),
+    )
+
+
 def reference_filter(params: ModelParams, observations: np.ndarray) -> FilterRun:
     """Kalman filter with every covariance step computed."""
     A, H, Q, R = params.A, params.H, params.Q, params.R
     K = observations.shape[0]
     mu, Sigma = params.mu0.copy(), params.Sigma0.copy()
-    means, covs, residuals, pred_covs = [], [], [], []
+    means, covs, residuals, pred_covs, preds, crosses = [], [], [], [], [], []
     nll = 0.0
     for k in range(K):
         m_pred = A @ mu
         P_pred = _sym(A @ Sigma @ A.T + Q)
+        preds.append(P_pred)
+        crosses.append(A @ Sigma)
         z = observations[k] - H @ m_pred
         PHt = P_pred @ H.T
         S = _sym(H @ PHt + R)
@@ -127,6 +173,8 @@ def reference_filter(params: ModelParams, observations: np.ndarray) -> FilterRun
         filtered_covs=np.array(covs),
         residuals=np.array(residuals),
         predictive_covs=np.array(pred_covs),
+        predicted_covs=np.array(preds),
+        cross_covs=np.array(crosses),
         neg_log_lik=nll,
     )
 
@@ -135,22 +183,23 @@ def reference_smoother(params: ModelParams, run: FilterRun) -> SmootherRun:
     """RTS smoother with every gain and covariance step computed."""
     A, Q = params.A, params.Q
     K, nx = run.horizon, params.nx
+    fcovs = dense_filter(run).filtered_covs
     means = np.empty((K + 1, nx))
     covs = np.empty((K + 1, nx, nx))
     gains = np.empty((K, nx, nx))
     means[K] = run.filtered_means[K - 1]
-    covs[K] = run.filtered_covs[K - 1]
+    covs[K] = fcovs[K - 1]
     for k in range(K - 1, -1, -1):
         if k == 0:
             mu_k, Sigma_k = params.mu0, params.Sigma0
         else:
-            mu_k, Sigma_k = run.filtered_means[k - 1], run.filtered_covs[k - 1]
+            mu_k, Sigma_k = run.filtered_means[k - 1], fcovs[k - 1]
         P_pred = _sym(A @ Sigma_k @ A.T + Q)
         G = cho_solve(_reference_factor(P_pred, k + 1), A @ Sigma_k).T
         means[k] = mu_k + G @ (means[k + 1] - A @ mu_k)
         covs[k] = _sym(Sigma_k + G @ (covs[k + 1] - P_pred) @ G.T)
         gains[k] = G
-    return SmootherRun(smoothed_means=means, smoothed_covs=covs, gains=gains)
+    return smoother_run(means, covs, gains)
 
 
 def prox_quadratic_oracle(V, stats, Q, step):

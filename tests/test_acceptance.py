@@ -34,7 +34,7 @@ from graphit.cli import grid_search, main, run_benchmark
 from graphit.em_stats import EMStats, compute_stats
 from graphit.scenario import Scenario, potential_from_tuple
 
-from oracles import forward_backward, nll_oracle, random_spd, random_stable_params
+from oracles import dense_filter, forward_backward, nll_oracle, random_spd, random_stable_params
 
 GIT_GRID = [(g, l) for g in (31.6, 56.2, 100.0, 178.0, 316.0) for l in (0.01, 0.0316, 0.1)]
 GEM_GRID = [(g,) for g in (10.0, 31.6, 100.0, 316.0, 1000.0)]
@@ -181,7 +181,7 @@ def test_criterion_4_filter_exactness():
     run = kalman_filter(params, np.array([[1.0]]))
     assert abs(run.neg_log_lik - (0.5 * np.log(4 * np.pi) + 0.25)) <= 1e-12
     assert abs(run.filtered_means[0, 0] - 0.5) <= 1e-12
-    assert abs(run.filtered_covs[0, 0, 0] - 0.5) <= 1e-12
+    assert abs(dense_filter(run).filtered_covs[0, 0, 0] - 0.5) <= 1e-12
 
     rng = np.random.default_rng(404)
     for i in range(20):

@@ -2,8 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphit import (
+    FAMILIES,
     DRConfig,
     EstimatorConfig,
     ModelParams,
@@ -22,6 +25,7 @@ from graphit import (
 )
 from graphit.em_stats import EMStats, compute_stats
 from graphit.kalman import rts_smoother
+from graphit.penalties import SHAPE_FIELD
 
 from oracles import random_stable_params
 
@@ -255,3 +259,25 @@ class TestEstimatorConfig:
         ]
         for run in runs:
             assert np.all(np.diff(run.objective_trace) <= 1e-8)
+
+
+@given(
+    family=st.sampled_from(FAMILIES),
+    nx=st.integers(2, 5),
+    support=st.floats(0.1, 1.0),
+    K=st.integers(10, 150),
+    sigma_q=st.floats(0.02, 0.5),
+    gamma=st.floats(0.1, 300.0),
+    shape=st.floats(0.01, 10.0),
+    seed=st.integers(0, 2**16),
+)
+def test_mm_descent_for_every_family(family, nx, support, K, sigma_q, gamma, shape, seed):
+    """On generated problems the MM objective never increases, to 1e-9 relative."""
+    A_true = generate_sparse_A(nx, max(1, round(support * nx * nx)), target_norm=0.9, seed=seed)
+    params = benchmark_like_params(nx, A_true, sigma_q=sigma_q)
+    ys = simulate(params, K=K, seed=seed + 1).observations
+    field = SHAPE_FIELD[family]
+    shapes = {} if field is None else {field: shape + 2.0 if field == "a" else shape}
+    cfg = EstimatorConfig(potential=Potential(family, gamma=gamma, **shapes), max_outer=15)
+    trace = np.array(graphit(ys, params, default_init(nx), cfg).objective_trace)
+    assert np.all(trace[1:] <= trace[:-1] + 1e-9 * np.abs(trace[:-1])), np.diff(trace)

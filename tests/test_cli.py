@@ -546,6 +546,9 @@ class TestMainCommand:
             (QUICK_CFG.replace("graphit graphem mlem", "mlem graphit mlem"), ["'mlem'", "more than once"]),
             (QUICK_CFG.replace("k = 60\n", "k = 60\nk = 70\n"), ["'k'", "already exists"]),
             (QUICK_CFG.replace("k = 60\n", "k\n"), ["cannot parse", "'k"]),
+            (QUICK_CFG + "\n[estimater]\ndr_tol = 1e-12\n", ["unknown section [estimater]"]),
+            (QUICK_CFG + "\n[potential.mlem]\nfamily = l1\ngamma = 1\n", ["unknown section [potential.mlem]"]),
+            (QUICK_CFG + "\n[grid.mlem]\ngamma = 1 10\n", ["unknown section [grid.mlem]"]),
         ],
         ids=[
             "unknown-scenario-key",
@@ -555,6 +558,9 @@ class TestMainCommand:
             "repeated-method",
             "repeated-key",
             "key-without-value",
+            "unknown-section",
+            "potential-for-mlem",
+            "grid-for-mlem",
         ],
     )
     def test_config_file_error_names_the_culprit(self, tmp_path, capsys, text, fragments):
@@ -655,9 +661,9 @@ def test_python_dash_m_graphit(tmp_path):
 
     golden = b"u,rho\n0.0000,0.0000\n1.0000,1.0000\n2.0000,2.0000\n"
     curve = run("curve", "l1", "1", "--points", "3")
-    assert (curve.returncode, curve.stdout) == (0, golden)
+    assert (curve.returncode, curve.stdout, curve.stderr) == (0, golden, b"")
     module_curve = run("curve", "l1", "1", "--points", "3", module="graphit.cli")
-    assert (module_curve.returncode, module_curve.stdout) == (0, golden)
+    assert (module_curve.returncode, module_curve.stdout, module_curve.stderr) == (0, golden, b"")
     missing = run("export-dot", "missing.csv", "0")
     assert missing.returncode == 1
     assert missing.stderr.startswith(b"configuration error: ")

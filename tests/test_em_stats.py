@@ -14,12 +14,13 @@ from graphit import (
     simulate,
 )
 
-from oracles import random_spd, random_stable_params
+from oracles import dense_smoother, random_spd, random_stable_params, smoother_run
 
 
 def _stats_resummation(smoother):
-    """Plain-loop re-summation of the three statistics."""
-    means, covs, gains = smoother.smoothed_means, smoother.smoothed_covs, smoother.gains
+    """Plain-loop re-summation of the three statistics over the dense steps."""
+    dense = dense_smoother(smoother)
+    means, covs, gains = dense.smoothed_means, dense.smoothed_covs, dense.gains
     K = gains.shape[0]
     nx = means.shape[1]
     Psi = np.zeros((nx, nx))
@@ -34,11 +35,7 @@ def _stats_resummation(smoother):
 
 class TestComputeStats:
     def test_single_step_identity(self):
-        run = SmootherRun(
-            smoothed_means=np.zeros((2, 1)),
-            smoothed_covs=np.array([np.eye(1), np.eye(1)]),
-            gains=np.array([np.eye(1)]),
-        )
+        run = smoother_run(np.zeros((2, 1)), np.array([np.eye(1), np.eye(1)]), np.array([np.eye(1)]))
         stats = compute_stats(run)
         np.testing.assert_allclose(stats.Psi, np.eye(1))
         np.testing.assert_allclose(stats.Phi, np.eye(1))
@@ -48,11 +45,7 @@ class TestComputeStats:
         K, nx = 5, 3
         e1 = np.zeros(nx)
         e1[0] = 1.0
-        run = SmootherRun(
-            smoothed_means=np.tile(e1, (K + 1, 1)),
-            smoothed_covs=np.zeros((K + 1, nx, nx)),
-            gains=np.zeros((K, nx, nx)),
-        )
+        run = smoother_run(np.tile(e1, (K + 1, 1)), np.zeros((K + 1, nx, nx)), np.zeros((K, nx, nx)))
         stats = compute_stats(run)
         expected = K * np.outer(e1, e1)
         np.testing.assert_allclose(stats.Psi, expected)
@@ -117,21 +110,26 @@ def test_smoother_runs_match_resummation(nx, ny, K, seed):
 @given(
     nx=st.integers(1, 6),
     lengths=st.lists(st.integers(1, 300), min_size=1, max_size=8),
-    shared=st.sampled_from(["none", "covs", "gains"]),
+    shared=st.sampled_from(["none", "covs", "gains", "both"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_hand_built_repeated_blocks_match_resummation(nx, lengths, shared, seed):
-    # Blocks of identical steps; with `shared`, one of the two arrays is the
-    # same across blocks, so a run boundary is set by the other one alone.
+    # Runs of identical steps; with `shared`, one of the two arrays is the
+    # same across runs, so neighbouring runs differ in the other one alone,
+    # and with "both" neighbouring runs may hold the same pair.
     rng = np.random.default_rng(seed)
     K = sum(lengths)
-    blocks = len(lengths)
-    cov_blocks = np.array([random_spd(rng, nx) for _ in range(1 if shared == "covs" else blocks)])
-    gain_blocks = rng.standard_normal((1 if shared == "gains" else blocks, nx, nx))
-    index = np.repeat(np.arange(blocks), lengths)
-    covs = np.concatenate([random_spd(rng, nx)[None], cov_blocks[index % len(cov_blocks)]])
-    gains = gain_blocks[index % len(gain_blocks)]
-    run = SmootherRun(smoothed_means=rng.standard_normal((K + 1, nx)), smoothed_covs=covs, gains=gains)
+    runs = len(lengths)
+    cov_blocks = np.array([random_spd(rng, nx) for _ in range(1 if shared in ("covs", "both") else runs)])
+    gain_blocks = rng.standard_normal((1 if shared in ("gains", "both") else runs, nx, nx))
+    index = np.arange(runs)
+    run = SmootherRun(
+        smoothed_means=rng.standard_normal((K + 1, nx)),
+        initial_cov=random_spd(rng, nx),
+        smoothed_covs=cov_blocks[index % len(cov_blocks)],
+        gains=gain_blocks[index % len(gain_blocks)],
+        run_lengths=np.array(lengths),
+    )
     _assert_matches_resummation(run)
 
 

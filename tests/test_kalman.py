@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,14 @@ from graphit import (
     ModelParams,
     NonFiniteError,
     SingularPredictiveCovarianceError,
+    compute_stats,
     kalman_filter,
     rts_smoother,
     simulate,
 )
 from graphit.kalman import _run_scan
 
-from oracles import nll_oracle, random_stable_params, smoother_oracle
+from oracles import dense_filter, dense_smoother, nll_oracle, random_stable_params, smoother_oracle
 
 
 def _scalar_params(A=1.0, H=1.0, Q=0.0, R=1.0, mu0=0.0, Sigma0=1.0):
@@ -27,10 +30,11 @@ class TestKalmanFilter:
     def test_hand_computed_scalar_step(self):
         params = _scalar_params()
         run = kalman_filter(params, np.array([[1.0]]))
-        assert run.predictive_covs[0, 0, 0] == pytest.approx(2.0, abs=1e-12)
+        dense = dense_filter(run)
+        assert dense.predictive_covs[0, 0, 0] == pytest.approx(2.0, abs=1e-12)
         assert run.residuals[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert run.filtered_means[0, 0] == pytest.approx(0.5, abs=1e-12)
-        assert run.filtered_covs[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert dense.filtered_covs[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
         expected_nll = 0.5 * np.log(4.0 * np.pi) + 0.25
         assert run.neg_log_lik == pytest.approx(expected_nll, abs=1e-12)
 
@@ -51,9 +55,10 @@ class TestKalmanFilter:
         traj = simulate(params, K=200, seed=2)
         run = kalman_filter(params, traj.observations)
         assert np.isfinite(run.neg_log_lik)
-        for S in run.predictive_covs:
+        dense = dense_filter(run)
+        for S in dense.predictive_covs:
             assert np.all(np.linalg.eigvalsh(S) > 0)
-        for Sigma in run.filtered_covs:
+        for Sigma in dense.filtered_covs:
             assert np.max(np.abs(Sigma - Sigma.T)) <= 1e-10
 
     def test_matches_dense_joint_likelihood(self):
@@ -108,9 +113,13 @@ class TestSteadyState:
         run = kalman_filter(params, simulate(params, K=300, seed=1).observations)
         t = run.steady_step
         assert t is not None and 2 <= t < 100
-        assert np.all(run.filtered_covs[t - 1:] == run.filtered_covs[t - 1])
-        assert np.all(run.predictive_covs[t - 1:] == run.predictive_covs[t - 1])
-        assert not np.all(run.filtered_covs[t - 2] == run.filtered_covs[t - 1])
+        # Each distinct value is held once: t filtered steps, and one prediction more.
+        assert len(run.filtered_covs) == len(run.predictive_covs) == t
+        assert len(run.predicted_covs) == len(run.cross_covs) == t + 1
+        dense = dense_filter(run)
+        assert np.all(dense.filtered_covs[t - 1:] == dense.filtered_covs[t - 1])
+        assert np.all(dense.predictive_covs[t - 1:] == dense.predictive_covs[t - 1])
+        assert not np.all(dense.filtered_covs[t - 2] == dense.filtered_covs[t - 1])
 
     def test_noiseless_random_walk_never_settles(self):
         # With Q = 0 and A = I the filtered variance decays like 1/k.
@@ -118,7 +127,7 @@ class TestSteadyState:
         run = kalman_filter(params, np.ones((500, 1)))
         assert run.steady_step is None
         expected = 1.0 / (1.0 + np.arange(1, 501) / 0.5)
-        np.testing.assert_allclose(run.filtered_covs[:, 0, 0], expected, rtol=1e-12)
+        np.testing.assert_allclose(dense_filter(run).filtered_covs[:, 0, 0], expected, rtol=1e-12)
 
     def test_single_step_has_no_steady_step(self):
         assert kalman_filter(_scalar_params(), np.array([[1.0]])).steady_step is None
@@ -197,7 +206,7 @@ class TestRTSSmoother:
         run = kalman_filter(params, traj.observations)
         smo = rts_smoother(params, run)
         np.testing.assert_array_equal(smo.smoothed_means[-1], run.filtered_means[-1])
-        np.testing.assert_array_equal(smo.smoothed_covs[-1], run.filtered_covs[-1])
+        np.testing.assert_array_equal(dense_smoother(smo).smoothed_covs[-1], dense_filter(run).filtered_covs[-1])
 
     def test_large_process_noise_kills_gains(self):
         rng = np.random.default_rng(2)
@@ -206,7 +215,7 @@ class TestRTSSmoother:
         traj = simulate(params, K=10, seed=4)
         run = kalman_filter(params, traj.observations)
         smo = rts_smoother(params, run)
-        assert np.max(np.abs(smo.gains)) < 1e-3
+        assert np.max(np.abs(dense_smoother(smo).gains)) < 1e-3
         np.testing.assert_allclose(smo.smoothed_means[1:], run.filtered_means, atol=1e-2)
 
     def test_matches_dense_joint_conditioning(self):
@@ -220,7 +229,7 @@ class TestRTSSmoother:
             smo = rts_smoother(params, run)
             means_ref, covs_ref = smoother_oracle(params, traj.observations)
             np.testing.assert_allclose(smo.smoothed_means, means_ref, atol=1e-8)
-            np.testing.assert_allclose(smo.smoothed_covs, covs_ref, atol=1e-8)
+            np.testing.assert_allclose(dense_smoother(smo).smoothed_covs, covs_ref, atol=1e-8)
 
     def test_scalar_chain_brute_force(self):
         params = _scalar_params(A=0.8, H=1.0, Q=0.3, R=0.5, mu0=0.4, Sigma0=0.7)
@@ -229,7 +238,7 @@ class TestRTSSmoother:
         smo = rts_smoother(params, run)
         means_ref, covs_ref = smoother_oracle(params, ys)
         np.testing.assert_allclose(smo.smoothed_means, means_ref, atol=1e-10)
-        np.testing.assert_allclose(smo.smoothed_covs, covs_ref, atol=1e-10)
+        np.testing.assert_allclose(dense_smoother(smo).smoothed_covs, covs_ref, atol=1e-10)
 
     def test_singular_state_prediction_reports_one_based_step(self):
         # R ~ 0 pins the first state coordinate after step 1, so with Q = 0
@@ -255,4 +264,23 @@ class TestRTSSmoother:
         traj = simulate(params, K=1000, seed=8)
         run = kalman_filter(params, traj.observations)
         smo = rts_smoother(params, run)
-        assert max(np.max(np.abs(S - S.T)) for S in smo.smoothed_covs) <= 1e-10
+        assert max(np.max(np.abs(S - S.T)) for S in dense_smoother(smo).smoothed_covs) <= 1e-10
+
+
+def test_e_step_memory_stays_below_one_dense_covariance_array():
+    # Covariances are held once per distinct value, so one E-step at
+    # N_x = 32, K = 20000 needs O(K N_x) memory for the means, well below the
+    # 164 MB of one (K, N_x, N_x) array.
+    nx, K = 32, 20_000
+    rng = np.random.default_rng(11)
+    params = random_stable_params(rng, nx=nx, ny=nx)
+    ys = rng.standard_normal((K, nx))
+    tracemalloc.start()
+    try:
+        run = kalman_filter(params, ys)
+        compute_stats(rts_smoother(params, run))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert run.steady_step is not None
+    assert peak < K * nx * nx * 8, f"peak {peak / 1e6:.1f} MB"
