@@ -167,7 +167,8 @@ def grid_search(
     """Pick the tuple minimizing the estimation error on realization 0.
 
     Returns (best_tuple, table) where table lists (tuple, rmse) in grid
-    order. Ties go to the earliest tuple in the grid.
+    order, with rmse inf where the fit failed. Ties go to the earliest tuple
+    in the grid. Raises GraphitError when every fit failed.
     """
     if not grid:
         raise ConfigError("grid must be nonempty")
@@ -177,6 +178,8 @@ def grid_search(
     data = _realization_data(scenario, 0)
     A0 = default_init(scenario.n_x)
     scores = _map(_eval_grid_point, [(scenario, method, data, A0, tup) for tup in grid], jobs)
+    if all(score == math.inf for score in scores):
+        raise GraphitError(f"every fit of the {method} grid failed")
 
     best_idx = min(range(len(grid)), key=lambda i: (scores[i], i))
     table = list(zip([tuple(t) for t in grid], scores))

@@ -8,6 +8,7 @@ full schema). An absent optional key leaves the default of its `Scenario` or
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -47,12 +48,16 @@ class Scenario:
             raise ConfigError("dimensions, horizon and realization count must be positive")
         if not 1 <= self.s <= self.n_x * self.n_x:
             raise ConfigError(f"support size s={self.s} outside [1, {self.n_x * self.n_x}]")
-        if min(self.sigma_q, self.sigma_r, self.sigma_0) <= 0:
-            raise ConfigError("sigma_q, sigma_r and sigma_0 must be > 0")
+        if not all(0 < sigma < math.inf for sigma in (self.sigma_q, self.sigma_r, self.sigma_0)):
+            raise ConfigError("sigma_q, sigma_r and sigma_0 must be finite and > 0")
         if not self.edge_threshold >= 0:
             raise ConfigError(f"edge_threshold must be >= 0, got {self.edge_threshold}")
-        if not self.target_norm > 0:
-            raise ConfigError(f"target_norm must be > 0, got {self.target_norm}")
+        if not 0 < self.target_norm < math.inf:
+            raise ConfigError(f"target_norm must be finite and > 0, got {self.target_norm}")
+        if not self.epsilon > 0:
+            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
+        if self.max_outer < 1:
+            raise ConfigError(f"max_outer must be >= 1, got {self.max_outer}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if not self.methods:
@@ -114,8 +119,9 @@ def _present(section, types: dict, prefix: str = "") -> dict:
     return {key: _get_typed(section, prefix + key, cast) for key, cast in types.items() if prefix + key in section}
 
 
-def _parse_floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.split())
+def _parse_floats(section, key) -> tuple[float, ...]:
+    """The whitespace-separated numbers of `key`; empty when the section lacks it."""
+    return _get_typed(section, key, lambda raw: tuple(float(tok) for tok in raw.split())) if key in section else ()
 
 
 def _load_potential(cp: configparser.ConfigParser, method: str) -> Potential | None:
@@ -137,22 +143,29 @@ def _load_potential(cp: configparser.ConfigParser, method: str) -> Potential | N
         raise ConfigError(f"invalid [{name}]: {err}") from None
 
 
-def _load_grid(cp: configparser.ConfigParser, method: str, family: str):
+def _load_grid(cp: configparser.ConfigParser, method: str, template: Potential):
     name = f"grid.{method}"
     if name not in cp:
         return None
     sec = cp[name]
-    gammas = _parse_floats(sec.get("gamma", ""))
+    gammas = _parse_floats(sec, "gamma")
     if not gammas:
         raise ConfigError(f"missing key 'gamma' in section [{name}]")
-    shape = SHAPE_FIELD[family]
+    shape = SHAPE_FIELD[template.family]
     if shape is None:
-        return tuple((g,) for g in gammas)
-    shape_key = _SHAPE_KEYS[shape]
-    shapes = _parse_floats(sec.get(shape_key, ""))
-    if not shapes:
-        raise ConfigError(f"missing key {shape_key!r} in section [{name}]")
-    return tuple((g, s) for g in gammas for s in shapes)
+        grid = tuple((g,) for g in gammas)
+    else:
+        shape_key = _SHAPE_KEYS[shape]
+        shapes = _parse_floats(sec, shape_key)
+        if not shapes:
+            raise ConfigError(f"missing key {shape_key!r} in section [{name}]")
+        grid = tuple((g, s) for g in gammas for s in shapes)
+    for values in grid:
+        try:
+            potential_from_tuple(template, values)
+        except ValueError as err:
+            raise ConfigError(f"invalid [{name}]: {err}") from None
+    return grid
 
 
 def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
@@ -194,7 +207,7 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
         pot = _load_potential(cp, method)
         if pot is not None:
             potentials[method] = pot
-            grid = _load_grid(cp, method, pot.family)
+            grid = _load_grid(cp, method, pot)
             if grid is not None:
                 grids[method] = grid
 

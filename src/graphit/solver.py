@@ -127,12 +127,13 @@ class _QuadraticProx:
         self._inner = np.empty_like(denom)
 
     def __call__(self, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        np.matmul(self._Ut, V, out=self._left)
-        inner = np.matmul(self._left, self._W, out=self._inner)
+        # np.dot, not np.matmul: the same BLAS product with less dispatch overhead.
+        np.dot(self._Ut, V, out=self._left)
+        inner = np.dot(self._left, self._W, out=self._inner)
         inner *= self._G
         inner += self._B
-        np.matmul(self._U, inner, out=self._left)
-        return np.matmul(self._left, self._Wt, out=out)
+        np.dot(self._U, inner, out=self._left)
+        return np.dot(self._left, self._Wt, out=out)
 
 
 def prox_quadratic(V: np.ndarray, stats: EMStats, Q: np.ndarray, step: float) -> np.ndarray:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphit.cli as cli
-from graphit import ConfigError, Potential, Trajectory
+from graphit import ConfigError, NonFiniteError, Potential, Trajectory
 from graphit.cli import _run_realization, grid_search, main, run_benchmark
 from graphit.export import BenchmarkRow, _fmt5, export_csv, export_dot
 from graphit.scenario import Scenario, load_scenario, potential_from_tuple
@@ -221,6 +221,33 @@ class TestRunBenchmark:
         serial = export_csv(run_benchmark(scenario, jobs=1), include_times=False)
         parallel = export_csv(run_benchmark(scenario, jobs=2), include_times=False)
         assert serial == parallel
+
+    @pytest.mark.filterwarnings("ignore:.*realizations failed:UserWarning")
+    @settings(max_examples=6)
+    @given(seed=st.integers(0, 2**16), n_x=st.integers(2, 4), k=st.integers(10, 60))
+    def test_results_csv_bytes_do_not_depend_on_jobs(self, tmp_path_factory, seed, n_x, k):
+        sizes = "n_x = 4\nn_y = 4\ns = 3\nk = 60\n"
+        assert sizes in QUICK_CFG
+        cfg = tmp_path_factory.mktemp("jobs") / "quick.cfg"
+        cfg.write_text(QUICK_CFG.replace(sizes, f"n_x = {n_x}\nn_y = {n_x}\ns = 2\nk = {k}\n"))
+        tables = []
+        for jobs in (1, 2):
+            out = cfg.parent / f"jobs{jobs}"
+            code = main(["bench", str(cfg), "--out", str(out), "--jobs", str(jobs), "--seed", str(seed)])
+            assert code in (0, 2)  # 2: every realization failed, which must not depend on jobs either
+            tables.append((code, (out / "results.csv").read_bytes() if code == 0 else None))
+        assert tables[0] == tables[1]
+
+    @pytest.mark.filterwarnings("ignore:.*realizations failed:UserWarning")
+    @settings(max_examples=6)
+    @given(seed=st.integers(0, 2**16), methods=st.permutations(["graphit", "graphem", "mlem"]))
+    def test_method_rows_do_not_depend_on_method_order(self, seed, methods):
+        def rows(order):
+            scenario = small_scenario(master_seed=seed, n_realizations=2, k=30, methods=tuple(order))
+            lines = export_csv(run_benchmark(scenario), include_times=False).splitlines()[1:]
+            return {line.split(",")[1]: line for line in lines}
+
+        assert rows(methods) == rows(["graphit", "graphem", "mlem"])
 
     def test_pool_size_is_capped_by_task_count(self, monkeypatch):
         started = []
@@ -549,6 +576,12 @@ class TestMainCommand:
             (QUICK_CFG + "\n[estimater]\ndr_tol = 1e-12\n", ["unknown section [estimater]"]),
             (QUICK_CFG + "\n[potential.mlem]\nfamily = l1\ngamma = 1\n", ["unknown section [potential.mlem]"]),
             (QUICK_CFG + "\n[grid.mlem]\ngamma = 1 10\n", ["unknown section [grid.mlem]"]),
+            (QUICK_CFG + "\n[estimator]\nepsilon = 0\n", ["epsilon must be > 0"]),
+            (QUICK_CFG + "\n[estimator]\nmax_outer = 0\n", ["max_outer must be >= 1"]),
+            (QUICK_CFG + "\n[grid.graphit]\ngamma = 10\nlambda = 0.1 -1\n", ["[grid.graphit]", "lam > 0"]),
+            (QUICK_CFG + "\n[grid.graphem]\ngamma = 1 x\n", ["cannot parse", "[grid.graphem]"]),
+            (QUICK_CFG.replace("sigma_q = 0.1", "sigma_q = nan"), ["sigma_q"]),
+            (QUICK_CFG.replace("k = 60\n", "k = 60\ntarget_norm = inf\n"), ["target_norm", "inf"]),
         ],
         ids=[
             "unknown-scenario-key",
@@ -561,17 +594,37 @@ class TestMainCommand:
             "unknown-section",
             "potential-for-mlem",
             "grid-for-mlem",
+            "zero-epsilon",
+            "zero-max-outer",
+            "negative-grid-lambda",
+            "grid-gamma-not-a-number",
+            "nan-sigma-q",
+            "infinite-target-norm",
         ],
     )
     def test_config_file_error_names_the_culprit(self, tmp_path, capsys, text, fragments):
         cfg = tmp_path / "quick.cfg"
         cfg.write_text(text)
-        assert main(["bench", str(cfg), "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error: ")
-        assert all(fragment in err for fragment in fragments), err
+        for command in ("bench", "grid"):
+            assert main([command, str(cfg), "--out", str(tmp_path / "o")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error: ")
+            assert all(fragment in err for fragment in fragments), err
+            assert "Traceback" not in err
+            assert not (tmp_path / "o").exists()
+
+    def test_grid_where_every_fit_fails_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        def failing_fit(*args):
+            raise NonFiniteError("negative log-likelihood is not finite")
+
+        monkeypatch.setattr(cli, "_fit", failing_fit)
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text(QUICK_CFG + "\n[grid.graphem]\ngamma = 1 10\n")
+        assert main(["grid", str(cfg), "--method", "graphem"]) == 2
+        out, err = capsys.readouterr()
+        assert "best" not in out
+        assert err.startswith("numerical failure: ")
         assert "Traceback" not in err
-        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -182,7 +182,8 @@ class TestRunScan:
     def test_transients_then_stretch(self, stretch):
         # The filter's layout: distinct matrices first, then the settled one.
         runs, offsets, x = self._inputs(stretch, nx=5, lengths=[1, 1, 1, stretch])
-        self._assert_close(_run_scan(runs, offsets, x), _loop_scan(runs, offsets, x))
+        mats = np.array([M for M, _ in runs])
+        self._assert_close(_run_scan(mats, offsets, x), _loop_scan(runs, offsets, x))
 
     @pytest.mark.parametrize("stretch", [1, 2, 3, 64, 981])
     def test_stretch_then_transients_on_reversed_views(self, stretch):
@@ -190,12 +191,14 @@ class TestRunScan:
         # settled gain serves the first steps of the scan.
         runs, offsets, x = self._inputs(stretch, nx=5, lengths=[stretch, 1, 1, 1])
         want = _loop_scan(runs, offsets[::-1].copy(), x)
-        self._assert_close(_run_scan(runs, offsets[::-1], x), want)
+        mats = np.array([M for M, _ in runs])
+        self._assert_close(_run_scan(mats, offsets[::-1], x, settled_first=True), want)
 
     def test_transient_only(self):
         # Covariances that never settle: every step has its own matrix.
         runs, offsets, x = self._inputs(3, nx=4, lengths=[1] * 50)
-        self._assert_close(_run_scan(runs, offsets, x), _loop_scan(runs, offsets, x))
+        mats = np.array([M for M, _ in runs])
+        self._assert_close(_run_scan(mats, offsets, x), _loop_scan(runs, offsets, x))
 
 
 class TestRTSSmoother:
