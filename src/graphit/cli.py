@@ -23,6 +23,7 @@ import math
 import sys
 import time
 import warnings
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import TextIO
@@ -31,11 +32,13 @@ import numpy as np
 
 from .algorithms import EstimatorConfig, default_init, graphem, graphit, mlem
 from .exceptions import ConfigError, GraphitError
-from .export import BenchmarkRow, _fmt5_tuple, _hyper_string, export_csv, export_curve_csv, export_dot, export_grid_csv
+from .export import (
+    BenchmarkRow, _hyper_string, _point_string, export_csv, export_curve_csv, export_dot, export_grid_csv,
+)
 from .metrics import accuracy, edge_confusion, f1, rmse
 from .model import ModelParams, generate_sparse_A, simulate
 from .penalties import FAMILIES, SHAPE_FIELD, Potential, emit_penalty_curve
-from .scenario import PENALIZED, Scenario, load_scenario, potential_from_tuple
+from .scenario import PENALIZED, Scenario, load_scenario
 
 # ---------------------------------------------------------------------------
 # benchmark core
@@ -80,29 +83,36 @@ def _fit(method: str, scenario: Scenario, params: ModelParams, observations, A0,
     return mlem(observations, params, A0, cfg)
 
 
+def _score(scenario: Scenario, method: str, potential: Potential | None, data: tuple, A0: np.ndarray) -> dict:
+    """One fit on a realization's data scored against its truth; {"ok": False, "error": ...} when it failed."""
+    A_true, params, trajectory = data
+    start = time.perf_counter()
+    try:
+        result = _fit(method, scenario, params, trajectory.observations, A0, potential)
+    except (GraphitError, np.linalg.LinAlgError) as err:
+        return {"ok": False, "error": str(err)}
+    elapsed = time.perf_counter() - start
+    confusion = edge_confusion(result.A_hat, A_true, scenario.edge_threshold)
+    return {
+        "ok": True,
+        "rmse": rmse(result.A_hat, A_true),
+        "accuracy": accuracy(confusion),
+        "f1": f1(confusion),
+        "time_s": elapsed,
+        "A_hat": result.A_hat,
+    }
+
+
 def _run_realization(scenario: Scenario, r: int) -> dict:
     """All configured methods on realization r; never raises on estimator failure."""
-    A_true, params, trajectory = _realization_data(scenario, r)
+    data = _realization_data(scenario, r)
     A0 = default_init(scenario.n_x)
-    out: dict = {"A_true": A_true, "methods": {}}
-    for method in scenario.methods:
-        start = time.perf_counter()
-        try:
-            result = _fit(method, scenario, params, trajectory.observations, A0, scenario.potentials.get(method))
-        except (GraphitError, np.linalg.LinAlgError) as err:
-            out["methods"][method] = {"ok": False, "error": str(err)}
-            continue
-        elapsed = time.perf_counter() - start
-        confusion = edge_confusion(result.A_hat, A_true, scenario.edge_threshold)
-        out["methods"][method] = {
-            "ok": True,
-            "rmse": rmse(result.A_hat, A_true),
-            "accuracy": accuracy(confusion),
-            "f1": f1(confusion),
-            "time_s": elapsed,
-            "A_hat": result.A_hat,
-        }
-    return out
+    fits = {method: _score(scenario, method, scenario.potentials.get(method), data, A0) for method in scenario.methods}
+    return {"A_true": data[0], "methods": fits}
+
+
+# The scores that each row of the benchmark table averages over the fits that completed.
+_AVERAGED = ("rmse", "accuracy", "f1", "time_s")
 
 
 def _benchmark(scenario: Scenario, jobs: int = 1):
@@ -112,28 +122,24 @@ def _benchmark(scenario: Scenario, jobs: int = 1):
 
     rows: list[BenchmarkRow] = []
     for method in scenario.methods:
-        per = [outcomes[r]["methods"][method] for r in range(n)]
-        good = [p for p in per if p["ok"]]
-        failed = len(per) - len(good)
-        if failed:
-            warnings.warn(f"{failed} of {n} realizations failed for method {method}")
+        good = [fit for fit in (outcome["methods"][method] for outcome in outcomes) if fit["ok"]]
+        if len(good) < n:
+            warnings.warn(f"{n - len(good)} of {n} realizations failed for method {method}")
         pot = scenario.potentials.get(method)
+        means = {key: float(np.mean([fit[key] for fit in good])) if good else math.nan for key in _AVERAGED}
         rows.append(
             BenchmarkRow(
                 scenario=scenario.scenario_id,
                 method=method,
                 potential=pot.family if pot else "",
                 hyperparams=_hyper_string(pot),
-                rmse=float(np.mean([p["rmse"] for p in good])) if good else math.nan,
-                accuracy=float(np.mean([p["accuracy"] for p in good])) if good else math.nan,
-                f1=float(np.mean([p["f1"] for p in good])) if good else math.nan,
-                time_s=float(np.mean([p["time_s"] for p in good])) if good else math.nan,
                 realizations=len(good),
+                **means,
             )
         )
 
     graphs = {"true": outcomes[0]["A_true"]}
-    graphs.update((method, entry["A_hat"]) for method, entry in outcomes[0]["methods"].items() if entry["ok"])
+    graphs.update((method, fit["A_hat"]) for method, fit in outcomes[0]["methods"].items() if fit["ok"])
     return rows, graphs
 
 
@@ -146,44 +152,27 @@ def run_benchmark(scenario: Scenario, jobs: int = 1) -> list[BenchmarkRow]:
 # ---------------------------------------------------------------------------
 # grid search
 
-def _eval_grid_point(
-    scenario: Scenario, method: str, data: tuple, A0: np.ndarray, values: tuple[float, ...]
-) -> float:
-    A_true, params, trajectory = data
-    potential = potential_from_tuple(scenario.potentials[method], values)
-    try:
-        result = _fit(method, scenario, params, trajectory.observations, A0, potential)
-    except (GraphitError, np.linalg.LinAlgError):
-        return math.inf
-    return rmse(result.A_hat, A_true)
+def grid_search(scenario: Scenario, method: str, grid: Sequence[Potential], jobs: int = 1):
+    """Pick the potential minimizing the estimation error on realization 0.
 
-
-def grid_search(
-    scenario: Scenario,
-    method: str,
-    grid: list[tuple[float, ...]],
-    jobs: int = 1,
-):
-    """Pick the tuple minimizing the estimation error on realization 0.
-
-    Returns (best_tuple, table) where table lists (tuple, rmse) in grid
-    order, with rmse inf where the fit failed. Ties go to the earliest tuple
-    in the grid. Raises GraphitError when every fit failed.
+    Returns (best potential, table) where table lists (potential, rmse) in
+    grid order, with rmse inf where the fit failed. Ties go to the earliest
+    point in the grid. Raises GraphitError when every fit failed.
     """
     if not grid:
         raise ConfigError("grid must be nonempty")
-    if method not in PENALIZED or method not in scenario.potentials:
-        raise ConfigError(f"grid search needs a penalized method with a potential, not {method!r}")
+    if method not in PENALIZED:
+        raise ConfigError(f"grid search needs a penalized method, not {method!r}")
+    if method == "graphem" and any(p.family != "l1" for p in grid):
+        raise ConfigError("graphem uses the l1 potential only")
 
     data = _realization_data(scenario, 0)
     A0 = default_init(scenario.n_x)
-    scores = _map(_eval_grid_point, [(scenario, method, data, A0, tup) for tup in grid], jobs)
+    fits = _map(_score, [(scenario, method, potential, data, A0) for potential in grid], jobs)
+    scores = [fit["rmse"] if fit["ok"] else math.inf for fit in fits]
     if all(score == math.inf for score in scores):
         raise GraphitError(f"every fit of the {method} grid failed")
-
-    best_idx = min(range(len(grid)), key=lambda i: (scores[i], i))
-    table = list(zip([tuple(t) for t in grid], scores))
-    return tuple(grid[best_idx]), table
+    return grid[scores.index(min(scores))], list(zip(grid, scores))
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +244,15 @@ def _scenario(args) -> Scenario:
 def _cmd_bench(args) -> int:
     scenario = _scenario(args)
     out = Path(args.out)
+    created = not out.is_dir()
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise ConfigError(f"cannot create directory {out}: {err.strerror}") from None
     rows, graphs = _benchmark(scenario, jobs=args.jobs)
     if all(row.realizations == 0 for row in rows):
+        if created:  # leave no empty directory behind
+            out.rmdir()
         raise GraphitError("every realization failed for every method")
     table = export_csv(rows, include_times=False)
     files = {"results.csv": table, "results_with_times.csv": export_csv(rows)}
@@ -280,9 +272,15 @@ def _cmd_grid(args) -> int:
     if method not in scenario.grids:
         raise ConfigError(f"no [grid.{method}] section found in config")
     with _output(args.out) as f:
-        best, table = grid_search(scenario, method, list(scenario.grids[method]), jobs=args.jobs)
+        try:
+            best, table = grid_search(scenario, method, scenario.grids[method], jobs=args.jobs)
+        except GraphitError:
+            if args.out:  # every fit failed: leave no empty table behind
+                f.close()
+                Path(args.out).unlink()
+            raise
         f.write(export_grid_csv(method, table))
-    print(f"best {method}: {_fmt5_tuple(best)}")
+    print(f"best {method}: {_point_string(best)}")
     return 0
 
 

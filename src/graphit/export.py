@@ -53,19 +53,20 @@ def _fmt5(x: float) -> str:
     return ("-" if neg else "") + digits
 
 
-def _fmt5_tuple(values) -> str:
-    """A grid tuple as its `_fmt5` numbers joined by semicolons."""
-    return ";".join(_fmt5(v) for v in values)
+def _hyperparams(p: Potential) -> dict[str, float]:
+    """The hyperparameters a grid varies: gamma, then the family's shape field if it has one."""
+    shape = SHAPE_FIELD[p.family]
+    return {"gamma": p.gamma} if shape is None else {"gamma": p.gamma, shape: getattr(p, shape)}
 
 
 def _hyper_string(p: Potential | None) -> str:
-    if p is None:
-        return ""
-    parts = [f"gamma={_fmt5(p.gamma)}"]
-    shape = SHAPE_FIELD[p.family]
-    if shape is not None:
-        parts.append(f"{shape}={_fmt5(getattr(p, shape))}")
-    return ";".join(parts)
+    """The `hyperparams` column of the benchmark table: name=value pairs joined by semicolons."""
+    return "" if p is None else ";".join(f"{name}={_fmt5(v)}" for name, v in _hyperparams(p).items())
+
+
+def _point_string(p: Potential) -> str:
+    """A grid point as its hyperparameter values joined by semicolons."""
+    return ";".join(_fmt5(v) for v in _hyperparams(p).values())
 
 
 def _render_csv(header: list[str], records) -> str:
@@ -116,5 +117,5 @@ def export_curve_csv(table: np.ndarray) -> str:
 
 
 def export_grid_csv(method: str, table) -> str:
-    records = ([method, _fmt5_tuple(values), _fmt5(score)] for values, score in table)
+    records = ([method, _point_string(point), _fmt5(score)] for point, score in table)
     return _render_csv(["method", "hyperparams", "rmse"], records)

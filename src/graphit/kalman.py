@@ -53,14 +53,14 @@ change only up to the steady step, and it takes P_{k+1|k} and A Sigma_k
 from the filter, so its transient loop only factors and solves. Its
 backward covariance recursion stops once it settles in the constant-gain
 stretch, whose middle is one run of the settled value. Its means run
-backward through the same scan on a reversed copy, so the constant smoother
-gain serves the first stretch of the scan and the transient gains follow.
+backward on a reversed copy of their offsets: by doubling over the stretch
+the constant smoother gain serves, then step by step through the transient
+gains.
 
 At n_x = 8, K = 1000 (the `table2-8-4` data at `default_init(8)`) one
-E-step, filter, smoother and `compute_stats`, takes 1.47 ms at best and
-2.5 ms in the median of 400 calls, against 1.82 and 3.0 ms when each
-transient step also ran the non-recursive work and the guard; at n_x = 4,
-K = 60, 1.08 against 1.47 ms at best (2-core x86-64 VM, one BLAS thread).
+E-step, filter, smoother and `compute_stats`, takes about 1.5 ms at best and
+2.5 ms in the median of 400 calls; at n_x = 4, K = 60, about 1.1 ms at best
+(2-core x86-64 VM, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -167,27 +167,6 @@ def _double(M: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return b[-1]
 
 
-def _run_scan(mats: np.ndarray, offsets: np.ndarray, x: np.ndarray, settled_first: bool = False) -> np.ndarray:
-    """Iterates of x_j = M_j x_{j-1} + offsets[j] from x_{-1} = x.
-
-    `mats` holds the distinct matrices in step order. Each serves one step
-    except the settled one, which serves a stretch: the last matrix serves
-    every step from len(mats) - 1 on, or, with `settled_first`, the first
-    serves every step before the last len(mats) - 1. A transient step is one
-    matrix-vector product; the stretch is evaluated by doubling, in
-    ceil(log2 n) vectorised products for n steps.
-    """
-    out = offsets.copy()
-    t = len(mats) - 1
-    if settled_first:
-        x = _double(mats[0], out[:len(out) - t], x)
-        _steps(mats[1:], out[len(out) - t:], x)
-    else:
-        x = _steps(mats[:t], out[:t], x)
-        _double(mats[t], out[t:], x)
-    return out
-
-
 def _guard(factors: np.ndarray, failed: bool) -> np.ndarray:
     """Check the stacked lower Cholesky factors of steps 1, 2, ...; return their |diagonals|.
 
@@ -282,7 +261,10 @@ def kalman_filter(params: ModelParams, observations: np.ndarray) -> FilterRun:
     drive = np.empty((K, params.nx))
     np.matmul(ys[:t, None], gains[:t].transpose(0, 2, 1), out=drive[:t, None])
     drive[t:] = ys[t:] @ gains[t].T
-    means = _run_scan(A - gains @ HA, drive, params.mu0)
+    closed = A - gains @ HA
+    x = _steps(closed[:t], drive[:t], params.mu0)
+    _double(closed[t], drive[t:], x)
+    means = drive  # the scan leaves the iterates in place
     residuals = ys - np.vstack([params.mu0, means[:-1]]) @ HA.T
 
     # log|S_k| from the factors' diagonals; z_k^T S_k^{-1} z_k = |L_k^{-1} z_k|^2.
@@ -371,9 +353,11 @@ def rts_smoother(params: ModelParams, filter_run: FilterRun) -> SmootherRun:
     np.matmul(prior_means[:last, None], GA[:last].transpose(0, 2, 1), out=offsets[:last, None])
     offsets[last:] = prior_means[last:] @ GA[last].T
     np.subtract(prior_means, offsets, out=offsets)
-    means = np.empty((K + 1, params.nx))
-    means[K] = fmeans[K - 1]
-    means[K - 1::-1] = _run_scan(gains[::-1], offsets[::-1], means[K], settled_first=True)
+    # Backward from m_K: the settled gain serves the first K - last steps, then G_{last-1}..G_0.
+    back = offsets[::-1].copy()
+    x = _double(gains[last], back[:K - last], fmeans[K - 1])
+    _steps(gains[:last][::-1], back[K - last:], x)
+    means = np.vstack([back[::-1], fmeans[K - 1]])
 
     return SmootherRun(
         smoothed_means=means,

@@ -8,6 +8,7 @@ full schema). An absent optional key leaves the default of its `Scenario` or
 from __future__ import annotations
 
 import configparser
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -36,7 +37,7 @@ class Scenario:
     master_seed: int = 0
     methods: tuple[str, ...] = METHODS
     potentials: dict[str, Potential] = field(default_factory=dict)
-    grids: dict[str, tuple[tuple[float, ...], ...]] = field(default_factory=dict)
+    grids: dict[str, tuple[Potential, ...]] = field(default_factory=dict)
     epsilon: float = 1e-3
     max_outer: int = 50
     dr: DRConfig = field(default_factory=DRConfig)
@@ -69,20 +70,6 @@ class Scenario:
                 raise ConfigError(f"method {m!r} is listed more than once")
             if m in PENALIZED and m not in self.potentials:
                 raise ConfigError(f"method {m} requires a [potential.{m}] section")
-
-
-def potential_from_tuple(template: Potential, values: tuple[float, ...]) -> Potential:
-    """Fill a potential's free hyperparameters from a grid tuple.
-
-    Tuple layout: (gamma,) for l1, (gamma, shape) otherwise, where the shape
-    is lam, or a for scad.
-    """
-    shape = SHAPE_FIELD[template.family]
-    if shape is None:
-        (gamma,) = values
-        return Potential(template.family, gamma=gamma)
-    gamma, value = values
-    return Potential(template.family, gamma=gamma, **{shape: value})
 
 
 # Optional keys and their types, by section; each fills the Scenario field of
@@ -120,8 +107,11 @@ def _present(section, types: dict, prefix: str = "") -> dict:
 
 
 def _parse_floats(section, key) -> tuple[float, ...]:
-    """The whitespace-separated numbers of `key`; empty when the section lacks it."""
-    return _get_typed(section, key, lambda raw: tuple(float(tok) for tok in raw.split())) if key in section else ()
+    """The whitespace-separated numbers of `key`; the section must hold at least one."""
+    values = _get_typed(section, key, lambda raw: tuple(float(tok) for tok in raw.split()))
+    if not values:
+        raise ConfigError(f"missing key {key!r} in section [{section.name}]")
+    return values
 
 
 def _load_potential(cp: configparser.ConfigParser, method: str) -> Potential | None:
@@ -143,29 +133,23 @@ def _load_potential(cp: configparser.ConfigParser, method: str) -> Potential | N
         raise ConfigError(f"invalid [{name}]: {err}") from None
 
 
-def _load_grid(cp: configparser.ConfigParser, method: str, template: Potential):
+def _load_grid(cp: configparser.ConfigParser, method: str, template: Potential | None) -> tuple[Potential, ...] | None:
+    """The points of [grid.<method>]: its gamma values by its shape values, of the potential's family."""
     name = f"grid.{method}"
     if name not in cp:
         return None
+    if template is None:
+        raise ConfigError(f"[{name}] needs a [potential.{method}] section")
     sec = cp[name]
-    gammas = _parse_floats(sec, "gamma")
-    if not gammas:
-        raise ConfigError(f"missing key 'gamma' in section [{name}]")
     shape = SHAPE_FIELD[template.family]
-    if shape is None:
-        grid = tuple((g,) for g in gammas)
-    else:
-        shape_key = _SHAPE_KEYS[shape]
-        shapes = _parse_floats(sec, shape_key)
-        if not shapes:
-            raise ConfigError(f"missing key {shape_key!r} in section [{name}]")
-        grid = tuple((g, s) for g in gammas for s in shapes)
-    for values in grid:
-        try:
-            potential_from_tuple(template, values)
-        except ValueError as err:
-            raise ConfigError(f"invalid [{name}]: {err}") from None
-    return grid
+    axes = {"gamma": _parse_floats(sec, "gamma")}
+    if shape is not None:
+        axes[shape] = _parse_floats(sec, _SHAPE_KEYS[shape])
+    try:
+        points = itertools.product(*axes.values())
+        return tuple(Potential(template.family, **dict(zip(axes, point))) for point in points)
+    except ValueError as err:
+        raise ConfigError(f"invalid [{name}]: {err}") from None
 
 
 def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
@@ -207,9 +191,9 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
         pot = _load_potential(cp, method)
         if pot is not None:
             potentials[method] = pot
-            grid = _load_grid(cp, method, pot)
-            if grid is not None:
-                grids[method] = grid
+        grid = _load_grid(cp, method, pot)
+        if grid is not None:
+            grids[method] = grid
 
     try:
         dr = DRConfig(**_present(est, _DR_KEYS, prefix="dr_"))

@@ -15,8 +15,7 @@ eigendecomposition and Cholesky factor) and each solve adds one eigh(Phi).
 In those eigenbases the quadratic prox is y = U (G . (U^T v W) + B) W^T with
 G and B fixed for the solve, so a sweep is four small matrix products plus
 entrywise passes over preallocated buffers: about 32 us per sweep at
-n = 32 on a 2-core x86-64 VM with one BLAS thread, against 57 us when every
-solve factored Q again and every sweep allocated its temporaries.
+n = 32 on a 2-core x86-64 VM with one BLAS thread.
 """
 
 from __future__ import annotations

@@ -32,12 +32,12 @@ from graphit import (
 )
 from graphit.cli import grid_search, main, run_benchmark
 from graphit.em_stats import EMStats, compute_stats
-from graphit.scenario import Scenario, potential_from_tuple
+from graphit.scenario import Scenario
 
 from oracles import dense_filter, forward_backward, nll_oracle, random_spd, random_stable_params
 
-GIT_GRID = [(g, l) for g in (31.6, 56.2, 100.0, 178.0, 316.0) for l in (0.01, 0.0316, 0.1)]
-GEM_GRID = [(g,) for g in (10.0, 31.6, 100.0, 316.0, 1000.0)]
+GIT_GRID = [Potential("log-sum", gamma=g, lam=l) for g in (31.6, 56.2, 100.0, 178.0, 316.0) for l in (0.01, 0.0316, 0.1)]
+GEM_GRID = [Potential("l1", gamma=g) for g in (10.0, 31.6, 100.0, 316.0, 1000.0)]
 
 
 def bench_params(nx, A, sigma_q=0.1, sigma_r=0.1, sigma_0=1e-4):
@@ -74,13 +74,7 @@ def table2_scenario(nx, s, n_realizations, seed=12):
 def tuned_benchmark(scenario):
     best_git, _ = grid_search(scenario, "graphit", GIT_GRID)
     best_gem, _ = grid_search(scenario, "graphem", GEM_GRID)
-    tuned = dataclasses.replace(
-        scenario,
-        potentials={
-            "graphit": potential_from_tuple(scenario.potentials["graphit"], best_git),
-            "graphem": potential_from_tuple(scenario.potentials["graphem"], best_gem),
-        },
-    )
+    tuned = dataclasses.replace(scenario, potentials={"graphit": best_git, "graphem": best_gem})
     rows = {row.method: row for row in run_benchmark(tuned)}
     return rows, best_git, best_gem
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import os
 import re
@@ -17,7 +18,7 @@ import graphit.cli as cli
 from graphit import ConfigError, NonFiniteError, Potential, Trajectory
 from graphit.cli import _run_realization, grid_search, main, run_benchmark
 from graphit.export import BenchmarkRow, _fmt5, export_csv, export_dot
-from graphit.scenario import Scenario, load_scenario, potential_from_tuple
+from graphit.scenario import Scenario, load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -301,18 +302,22 @@ class TestRunBenchmark:
             assert "non-finite" in entry["error"] or "NaN" in entry["error"]
 
 
+def l1(gamma):
+    return Potential("l1", gamma=gamma)
+
+
 class TestGridSearch:
     def test_single_tuple_grid(self):
         scenario = small_scenario()
-        best, table = grid_search(scenario, "graphem", [(10.0,)])
-        assert best == (10.0,)
+        best, table = grid_search(scenario, "graphem", [l1(10.0)])
+        assert best == l1(10.0)
         assert len(table) == 1
 
     def test_duplicated_best_first_occurrence(self):
         scenario = small_scenario()
-        grid = [(10.0,), (10.0,), (1000.0,)]
+        grid = [l1(10.0), l1(10.0), l1(1000.0)]
         best, table = grid_search(scenario, "graphem", grid)
-        assert best == (10.0,)
+        assert best is grid[0]
         assert table[0][1] == table[1][1]
 
     def test_matches_exhaustive_oracle(self):
@@ -320,16 +325,16 @@ class TestGridSearch:
         from graphit.algorithms import EstimatorConfig
         from graphit.cli import _realization_data
 
-        grid = [(1.0,), (10.0,), (100.0,)]
+        grid = [l1(1.0), l1(10.0), l1(100.0)]
         agreements = 0
         for seed in range(5):
             scenario = small_scenario(master_seed=seed, k=80)
             # independent exhaustive evaluation of the same tuning realization
             A_true, params, traj = _realization_data(scenario, 0)
             scores = []
-            for (gamma,) in grid:
+            for potential in grid:
                 cfg = EstimatorConfig(
-                    potential=Potential("l1", gamma=gamma),
+                    potential=potential,
                     epsilon=scenario.epsilon,
                     max_outer=scenario.max_outer,
                     dr=scenario.dr,
@@ -347,14 +352,25 @@ class TestGridSearch:
 
     def test_mlem_rejected(self):
         with pytest.raises(ConfigError):
-            grid_search(small_scenario(), "mlem", [(1.0,)])
+            grid_search(small_scenario(), "mlem", [l1(1.0)])
 
-    def test_potential_from_tuple(self):
-        assert potential_from_tuple(Potential("l1", gamma=1.0), (5.0,)).gamma == 5.0
-        p = potential_from_tuple(Potential("log-sum", gamma=1.0, lam=1.0), (5.0, 0.2))
-        assert (p.gamma, p.lam) == (5.0, 0.2)
-        p = potential_from_tuple(Potential("scad", gamma=1.0, a=3.0), (5.0, 4.0))
-        assert (p.gamma, p.a) == (5.0, 4.0)
+    def test_graphem_rejects_a_non_l1_point(self):
+        grid = [l1(1.0), Potential("log-sum", gamma=1.0, lam=0.1)]
+        with pytest.raises(ConfigError, match="l1"):
+            grid_search(small_scenario(), "graphem", grid)
+
+    def test_config_grid_is_the_gamma_by_shape_product_in_file_order(self, tmp_path):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(
+            QUICK_CFG.replace("family = log-sum\ngamma = 10\nlambda = 0.1\n", "family = scad\ngamma = 10\na = 3.7\n")
+            + "\n[grid.graphit]\ngamma = 5 1\na = 4 2.5 3\n"
+            + "\n[grid.graphem]\ngamma = 3 1 2\n"
+        )
+        grids = load_scenario(cfg).grids
+        assert grids["graphit"] == tuple(
+            Potential("scad", gamma=g, a=a) for g in (5.0, 1.0) for a in (4.0, 2.5, 3.0)
+        )
+        assert grids["graphem"] == (l1(3.0), l1(1.0), l1(2.0))
 
 
 class TestExportDot:
@@ -582,6 +598,10 @@ class TestMainCommand:
             (QUICK_CFG + "\n[grid.graphem]\ngamma = 1 x\n", ["cannot parse", "[grid.graphem]"]),
             (QUICK_CFG.replace("sigma_q = 0.1", "sigma_q = nan"), ["sigma_q"]),
             (QUICK_CFG.replace("k = 60\n", "k = 60\ntarget_norm = inf\n"), ["target_norm", "inf"]),
+            (
+                QUICK_CFG.replace("graphit graphem mlem", "graphit mlem").replace("[potential.graphem]", "[grid.graphem]"),
+                ["[grid.graphem]", "[potential.graphem]"],
+            ),
         ],
         ids=[
             "unknown-scenario-key",
@@ -600,6 +620,7 @@ class TestMainCommand:
             "grid-gamma-not-a-number",
             "nan-sigma-q",
             "infinite-target-norm",
+            "grid-without-potential",
         ],
     )
     def test_config_file_error_names_the_culprit(self, tmp_path, capsys, text, fragments):
@@ -620,11 +641,31 @@ class TestMainCommand:
         monkeypatch.setattr(cli, "_fit", failing_fit)
         cfg = tmp_path / "quick.cfg"
         cfg.write_text(QUICK_CFG + "\n[grid.graphem]\ngamma = 1 10\n")
-        assert main(["grid", str(cfg), "--method", "graphem"]) == 2
-        out, err = capsys.readouterr()
-        assert "best" not in out
-        assert err.startswith("numerical failure: ")
-        assert "Traceback" not in err
+        table = tmp_path / "grid.csv"
+        for out_option in ([], ["--out", str(table)]):
+            assert main(["grid", str(cfg), "--method", "graphem", *out_option]) == 2
+            out, err = capsys.readouterr()
+            assert "best" not in out
+            assert err.startswith("numerical failure: ")
+            assert "Traceback" not in err
+            assert not table.exists()
+
+    @pytest.mark.parametrize("existed", [False, True], ids=["new-dir", "existing-dir"])
+    def test_bench_where_every_fit_fails_leaves_no_new_directory(self, tmp_path, capsys, monkeypatch, existed):
+        def failing_fit(*args):
+            raise NonFiniteError("negative log-likelihood is not finite")
+
+        monkeypatch.setattr(cli, "_fit", failing_fit)
+        cfg = tmp_path / "quick.cfg"
+        cfg.write_text(QUICK_CFG)
+        out = tmp_path / "o"
+        if existed:
+            out.mkdir()
+        with pytest.warns(UserWarning, match="failed"):
+            assert main(["bench", str(cfg), "--out", str(out), "--realizations", "1"]) == 2
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert out.exists() == existed
+        assert not existed or list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv",
@@ -702,6 +743,19 @@ class TestGoldenOutput:
         matrix.write_text(DOT_MATRIX)
         written, stdout = run_main(tmp_path, capsys, ["export-dot", str(matrix), "1e-10"], to_file)
         assert (written, stdout) == ((DOT.encode(), "") if to_file else (None, DOT))
+
+
+@pytest.mark.parametrize("seed", [0, 13])
+def test_cli_bytes_match_the_benchmark_reference(tmp_path, capsys, seed):
+    """`bench` and `grid` on configs/quick.cfg print what perfbench/reference.json recorded for `quick-cli`."""
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text(encoding="utf-8"))["quick-cli"]
+    config = str(ROOT / "configs" / "quick.cfg")
+    out = tmp_path / "o"
+    assert main(["bench", config, "--seed", str(seed), "--out", str(out)]) == 0
+    assert (out / "results.csv").read_text(encoding="utf-8") == reference[f"bench/{seed}"]["results_csv"]
+    capsys.readouterr()
+    assert main(["grid", config, "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == reference[f"grid/{seed}"]["best"]
 
 
 def test_python_dash_m_graphit(tmp_path):

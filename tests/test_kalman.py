@@ -13,7 +13,7 @@ from graphit import (
     rts_smoother,
     simulate,
 )
-from graphit.kalman import _run_scan
+from graphit.kalman import _double, _steps
 
 from oracles import dense_filter, dense_smoother, nll_oracle, random_stable_params, smoother_oracle
 
@@ -162,7 +162,7 @@ def _loop_scan(runs, offsets, x):
 
 
 class TestRunScan:
-    """The doubling scan against a per-step loop, at 1e-12 relative to the iterates."""
+    """The transient steps and the doubling scan against a per-step loop, at 1e-12 relative to the iterates."""
 
     @staticmethod
     def _inputs(seed, nx, lengths):
@@ -178,27 +178,37 @@ class TestRunScan:
     def _assert_close(got, want):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @staticmethod
+    def _transients_then_stretch(mats, offsets, x):
+        # The filter's layout: one step per matrix, the last one serving the rest.
+        out, t = offsets.copy(), len(mats) - 1
+        x = _steps(mats[:t], out[:t], x)
+        _double(mats[t], out[t:], x)
+        return out
+
     @pytest.mark.parametrize("stretch", [1, 2, 3, 64, 981])
     def test_transients_then_stretch(self, stretch):
-        # The filter's layout: distinct matrices first, then the settled one.
         runs, offsets, x = self._inputs(stretch, nx=5, lengths=[1, 1, 1, stretch])
         mats = np.array([M for M, _ in runs])
-        self._assert_close(_run_scan(mats, offsets, x), _loop_scan(runs, offsets, x))
+        self._assert_close(self._transients_then_stretch(mats, offsets, x), _loop_scan(runs, offsets, x))
 
     @pytest.mark.parametrize("stretch", [1, 2, 3, 64, 981])
     def test_stretch_then_transients_on_reversed_views(self, stretch):
-        # The smoother's layout: it runs backward over reversed views, so the
+        # The smoother's layout: it runs backward over a reversed copy, so the
         # settled gain serves the first steps of the scan.
         runs, offsets, x = self._inputs(stretch, nx=5, lengths=[stretch, 1, 1, 1])
         want = _loop_scan(runs, offsets[::-1].copy(), x)
         mats = np.array([M for M, _ in runs])
-        self._assert_close(_run_scan(mats, offsets[::-1], x, settled_first=True), want)
+        back = offsets[::-1].copy()
+        x = _double(mats[0], back[:stretch], x)
+        _steps(mats[1:], back[stretch:], x)
+        self._assert_close(back, want)
 
     def test_transient_only(self):
         # Covariances that never settle: every step has its own matrix.
         runs, offsets, x = self._inputs(3, nx=4, lengths=[1] * 50)
         mats = np.array([M for M, _ in runs])
-        self._assert_close(_run_scan(mats, offsets, x), _loop_scan(runs, offsets, x))
+        self._assert_close(self._transients_then_stretch(mats, offsets, x), _loop_scan(runs, offsets, x))
 
 
 class TestRTSSmoother:
