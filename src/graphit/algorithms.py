@@ -17,6 +17,7 @@ iterates.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -24,11 +25,11 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .em_stats import EMStats, compute_stats
-from .exceptions import SingularPredictiveCovarianceError, SingularStatisticsError
-from .kalman import kalman_filter, rts_smoother
+from .exceptions import SingularPredictiveCovarianceError, SingularStatisticsError, attempt
+from .kalman import kalman_filter, kalman_filter_lockstep, rts_smoother, rts_smoother_lockstep
 from .model import ModelParams, spectral_norm
 from .penalties import Potential, penalty_value, weight_matrix
-from .solver import DRConfig, QFactors, douglas_rachford
+from .solver import DRConfig, QFactors, douglas_rachford, douglas_rachford_lockstep
 
 
 @dataclass(frozen=True)
@@ -74,52 +75,73 @@ def objective(
     return value
 
 
+def _tagged(err: Exception, i: int) -> Exception:
+    """The error of an E-step at outer iteration i; a singular covariance names the iteration."""
+    if not isinstance(err, SingularPredictiveCovarianceError):
+        return err
+    tagged = SingularPredictiveCovarianceError(err.step, f"{err} (outer iteration {i})")
+    tagged.__cause__ = err
+    return tagged
+
+
+class _Fit:
+    """One fit along the outer loop: its iterate, its objective trace and how it stopped."""
+
+    def __init__(self, A0: np.ndarray, cfg: EstimatorConfig):
+        self.cfg = cfg
+        self.A = np.array(A0, dtype=float)
+        self.trace: list[float] = []
+        self.iterates: list[np.ndarray] = []
+        self.stopped_by: Literal["precision", "cap"] = "cap"
+        self.outer = 0
+
+    def record(self, neg_log_lik: float) -> None:
+        """Trace the objective at the current iterate, whose filter gave `neg_log_lik`."""
+        if self.cfg.potential is not None:
+            neg_log_lik += penalty_value(self.cfg.potential, self.A)
+        self.trace.append(neg_log_lik)
+
+    def advance(self, A_new: np.ndarray, i: int) -> bool:
+        """Move to the iterate of outer iteration i; True when the fit stops there."""
+        self.iterates.append(A_new)
+        self.outer = i
+        change = float(np.linalg.norm(A_new - self.A))
+        threshold = self.cfg.epsilon * float(np.linalg.norm(self.A))
+        self.A = A_new
+        if change <= threshold:
+            self.stopped_by = "precision"
+        return change <= threshold or i == self.cfg.max_outer
+
+    def result(self, params_rest: ModelParams, observations: np.ndarray) -> EstimatorResult:
+        self.trace.append(objective(self.A, params_rest, observations, self.cfg.potential))
+        return EstimatorResult(
+            A_hat=self.A,
+            objective_trace=tuple(self.trace),
+            outer_iterations=self.outer,
+            stopped_by=self.stopped_by,
+            iterates=tuple(self.iterates),
+        )
+
+
 def _outer_loop(observations, params_rest, A0, cfg, minimize_step):
     """Shared majorization-minimization loop.
 
     `minimize_step(stats, A_prev, i)` produces the next iterate from the
     bound statistics; everything else (stopping, tracing) is common.
     """
-    A_prev = np.array(A0, dtype=float)
-    trace: list[float] = []
-    iterates: list[np.ndarray] = []
-    stopped_by: Literal["precision", "cap"] = "cap"
-
-    outer = 0
+    fit = _Fit(A0, cfg)
     for i in range(1, cfg.max_outer + 1):
-        params_i = dataclasses.replace(params_rest, A=A_prev)
+        params_i = dataclasses.replace(params_rest, A=fit.A)
         try:
             frun = kalman_filter(params_i, observations)
             srun = rts_smoother(params_i, frun)
         except SingularPredictiveCovarianceError as err:
-            raise SingularPredictiveCovarianceError(
-                err.step, f"{err} (outer iteration {i})"
-            ) from err
+            raise _tagged(err, i) from err
         stats = compute_stats(srun)
-        value = frun.neg_log_lik
-        if cfg.potential is not None:
-            value += penalty_value(cfg.potential, A_prev)
-        trace.append(value)
-
-        A_new = minimize_step(stats, A_prev, i)
-        iterates.append(A_new)
-        outer = i
-        change = float(np.linalg.norm(A_new - A_prev))
-        threshold = cfg.epsilon * float(np.linalg.norm(A_prev))
-        A_prev = A_new
-        if change <= threshold:
-            stopped_by = "precision"
+        fit.record(frun.neg_log_lik)
+        if fit.advance(minimize_step(stats, fit.A, i), i):
             break
-
-    trace.append(objective(A_prev, params_rest, observations, cfg.potential))
-
-    return EstimatorResult(
-        A_hat=A_prev,
-        objective_trace=tuple(trace),
-        outer_iterations=outer,
-        stopped_by=stopped_by,
-        iterates=tuple(iterates),
-    )
+    return fit.result(params_rest, observations)
 
 
 def graphit(
@@ -154,6 +176,64 @@ def graphem(
     if cfg.potential is None or cfg.potential.family != "l1":
         raise ValueError("graphem requires an l1 potential")
     return graphit(observations, params_rest, A0, cfg)
+
+
+def graphit_lockstep(
+    observations: np.ndarray,
+    params_rest: ModelParams,
+    A0: np.ndarray,
+    cfg: EstimatorConfig,
+    potentials: Sequence[Potential],
+) -> list:
+    """`graphit` from A0 at each potential (cfg's own is ignored), with the fits in lockstep.
+
+    Each outer iteration makes one covariance pass of the filter, one of the
+    smoother and one Douglas-Rachford loop over the fits still running
+    (`kalman_filter_lockstep`, `rts_smoother_lockstep`,
+    `douglas_rachford_lockstep`); the rest runs per fit as in `graphit`, so
+    each fit's result is bit for bit the one `graphit` returns. A fit leaves
+    when it stops or fails. Each entry is the EstimatorResult of its fit, or
+    the error in `FIT_ERRORS` that `graphit` raises there.
+    """
+    fits = [_Fit(A0, dataclasses.replace(cfg, potential=potential)) for potential in potentials]
+    outcomes: list = [None] * len(fits)
+    Q = params_rest.Q
+    q_factors = None
+
+    def going(batch: Sequence[int], results: list) -> dict:
+        """{fit: result} of the fits in `batch` whose step succeeded; each error ends its fit."""
+        kept = {}
+        for j, result in zip(batch, results):
+            if isinstance(result, Exception):
+                outcomes[j] = _tagged(result, i)
+            else:
+                kept[j] = result
+        return kept
+
+    live = range(len(fits))
+    i = 0
+    while live:
+        i += 1
+        params = {j: dataclasses.replace(params_rest, A=fits[j].A) for j in live}
+        fruns = going(params, kalman_filter_lockstep(list(params.values()), observations))
+        sruns = going(fruns, rts_smoother_lockstep([params[j] for j in fruns], list(fruns.values())))
+        problems = {}
+        for j, srun in sruns.items():
+            fit = fits[j]
+            stats = compute_stats(srun)
+            fit.record(fruns[j].neg_log_lik)
+            problems[j] = (stats, weight_matrix(fit.cfg.potential, fit.A), fit.A)
+        if problems and q_factors is None:  # once, after the first filter pass has checked Q
+            q_factors = attempt(QFactors.of, Q)
+        if isinstance(q_factors, Exception):
+            reports = going(problems, [q_factors] * len(problems))
+        else:
+            reports = going(problems, douglas_rachford_lockstep(list(problems.values()), Q, cfg.dr, q_factors))
+        live = [j for j, report in reports.items() if not fits[j].advance(report.minimizer, i)]
+    return [
+        outcome if outcome is not None else attempt(fit.result, params_rest, observations)
+        for fit, outcome in zip(fits, outcomes)
+    ]
 
 
 def mlem_update(stats: EMStats, iteration: int = 1) -> np.ndarray:

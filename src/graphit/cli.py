@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import math
 import sys
 import time
@@ -30,8 +31,8 @@ from typing import TextIO
 
 import numpy as np
 
-from .algorithms import EstimatorConfig, default_init, graphem, graphit, mlem
-from .exceptions import ConfigError, GraphitError
+from .algorithms import EstimatorConfig, default_init, graphem, graphit, graphit_lockstep, mlem
+from .exceptions import FIT_ERRORS, ConfigError, GraphitError
 from .export import (
     BenchmarkRow, _hyper_string, _point_string, export_csv, export_curve_csv, export_dot, export_grid_csv,
 )
@@ -73,41 +74,60 @@ def _realization_data(scenario: Scenario, r: int):
     return A_true, params, trajectory
 
 
-def _fit(method: str, scenario: Scenario, params: ModelParams, observations, A0, potential: Potential | None):
-    cfg = EstimatorConfig(potential=potential, epsilon=scenario.epsilon, max_outer=scenario.max_outer, dr=scenario.dr)
-    # Not a table built at import: each estimator is looked up here at call time.
+def _fit(method: str, scenario: Scenario, params: ModelParams, observations, A0, potentials: Sequence) -> list:
+    """`method` fitted from A0 at each potential (None for mlem): its EstimatorResult or the error that ended it.
+
+    Several potentials are fitted in lockstep by `graphit_lockstep` (graphem is
+    graphit with an l1 potential), which returns each fit's error. A single fit
+    runs through its estimator and raises its error; each estimator is looked
+    up here at call time, not in a table built at import.
+    """
+    cfg = EstimatorConfig(epsilon=scenario.epsilon, max_outer=scenario.max_outer, dr=scenario.dr)
+    if len(potentials) > 1:
+        return graphit_lockstep(observations, params, A0, cfg, potentials)
+    cfg = dataclasses.replace(cfg, potential=potentials[0])
     if method == "graphit":
-        return graphit(observations, params, A0, cfg)
+        return [graphit(observations, params, A0, cfg)]
     if method == "graphem":
-        return graphem(observations, params, A0, cfg)
-    return mlem(observations, params, A0, cfg)
+        return [graphem(observations, params, A0, cfg)]
+    return [mlem(observations, params, A0, cfg)]
 
 
-def _score(scenario: Scenario, method: str, potential: Potential | None, data: tuple, A0: np.ndarray) -> dict:
-    """One fit on a realization's data scored against its truth; {"ok": False, "error": ...} when it failed."""
+def _score(scenario: Scenario, method: str, potentials: Sequence, data: tuple, A0: np.ndarray) -> list[dict]:
+    """Each potential's fit on a realization's data scored against its truth; {"ok": False, "error": ...} if it failed.
+
+    `time_s` is the wall time of the call that made the fit, which is a
+    lockstep batch when there are several potentials.
+    """
     A_true, params, trajectory = data
     start = time.perf_counter()
     try:
-        result = _fit(method, scenario, params, trajectory.observations, A0, potential)
-    except (GraphitError, np.linalg.LinAlgError) as err:
-        return {"ok": False, "error": str(err)}
+        results = _fit(method, scenario, params, trajectory.observations, A0, potentials)
+    except FIT_ERRORS as err:
+        results = [err] * len(potentials)
     elapsed = time.perf_counter() - start
-    confusion = edge_confusion(result.A_hat, A_true, scenario.edge_threshold)
-    return {
-        "ok": True,
-        "rmse": rmse(result.A_hat, A_true),
-        "accuracy": accuracy(confusion),
-        "f1": f1(confusion),
-        "time_s": elapsed,
-        "A_hat": result.A_hat,
-    }
+    scores = []
+    for result in results:
+        if isinstance(result, Exception):
+            scores.append({"ok": False, "error": str(result)})
+            continue
+        confusion = edge_confusion(result.A_hat, A_true, scenario.edge_threshold)
+        scores.append({
+            "ok": True,
+            "rmse": rmse(result.A_hat, A_true),
+            "accuracy": accuracy(confusion),
+            "f1": f1(confusion),
+            "time_s": elapsed,
+            "A_hat": result.A_hat,
+        })
+    return scores
 
 
 def _run_realization(scenario: Scenario, r: int) -> dict:
     """All configured methods on realization r; never raises on estimator failure."""
     data = _realization_data(scenario, r)
     A0 = default_init(scenario.n_x)
-    fits = {method: _score(scenario, method, scenario.potentials.get(method), data, A0) for method in scenario.methods}
+    fits = {method: _score(scenario, method, [scenario.potentials.get(method)], data, A0)[0] for method in scenario.methods}
     return {"A_true": data[0], "methods": fits}
 
 
@@ -168,8 +188,11 @@ def grid_search(scenario: Scenario, method: str, grid: Sequence[Potential], jobs
 
     data = _realization_data(scenario, 0)
     A0 = default_init(scenario.n_x)
-    fits = _map(_score, [(scenario, method, potential, data, A0) for potential in grid], jobs)
-    scores = [fit["rmse"] if fit["ok"] else math.inf for fit in fits]
+    # --jobs splits the grid into that many contiguous lockstep batches, as equal as they come.
+    n = min(jobs, len(grid))
+    batches = [grid[len(grid) * b // n:len(grid) * (b + 1) // n] for b in range(n)]
+    scored = _map(_score, [(scenario, method, batch, data, A0) for batch in batches], jobs)
+    scores = [fit["rmse"] if fit["ok"] else math.inf for batch in scored for fit in batch]
     if all(score == math.inf for score in scores):
         raise GraphitError(f"every fit of the {method} grid failed")
     return grid[scores.index(min(scores))], list(zip(grid, scores))
@@ -244,15 +267,15 @@ def _scenario(args) -> Scenario:
 def _cmd_bench(args) -> int:
     scenario = _scenario(args)
     out = Path(args.out)
-    created = not out.is_dir()
+    created = [path for path in (out, *out.parents) if not path.exists()]  # deepest first
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise ConfigError(f"cannot create directory {out}: {err.strerror}") from None
     rows, graphs = _benchmark(scenario, jobs=args.jobs)
     if all(row.realizations == 0 for row in rows):
-        if created:  # leave no empty directory behind
-            out.rmdir()
+        for path in created:  # leave no empty directory behind
+            path.rmdir()
         raise GraphitError("every realization failed for every method")
     table = export_csv(rows, include_times=False)
     files = {"results.csv": table, "results_with_times.csv": export_csv(rows)}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class GraphitError(Exception):
     """Base class for all errors raised by this package."""
@@ -43,3 +45,16 @@ class SingularStatisticsError(GraphitError, RuntimeError):
     def __init__(self, iteration: int, message: str | None = None):
         self.iteration = iteration
         super().__init__(message or f"second-moment statistic singular at outer iteration {iteration}")
+
+
+# The errors that end one fit but not the run that made it: the bench counts such a fit as
+# failed and a grid scores it inf. Anything else is a fault of the program and propagates.
+FIT_ERRORS = (GraphitError, np.linalg.LinAlgError)
+
+
+def attempt(fn, *args):
+    """fn(*args), or the error in FIT_ERRORS that it raised."""
+    try:
+        return fn(*args)
+    except FIT_ERRORS as err:
+        return err

@@ -66,12 +66,13 @@ E-step, filter, smoother and `compute_stats`, takes about 1.5 ms at best and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from .exceptions import NonFiniteError, SingularPredictiveCovarianceError
+from .exceptions import NonFiniteError, SingularPredictiveCovarianceError, attempt
 from .model import ModelParams, validate
 
 # Cholesky-diagonal condition estimate beyond which S_k is treated as singular.
@@ -139,8 +140,18 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
+def _sym_each(M: np.ndarray) -> np.ndarray:
+    """`_sym` of each matrix of a stack."""
+    return 0.5 * (M + M.transpose(0, 2, 1))
+
+
 def _settled(new: np.ndarray, old: np.ndarray, scale: np.ndarray) -> bool:
     return np.abs(new - old).max() <= SETTLE_TOL * np.abs(scale).max()
+
+
+def _settled_each(new: np.ndarray, old: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """`_settled` of each slice of a stack; a maximum is exact, so each is the 2-D test."""
+    return np.abs(new - old).max(axis=(1, 2)) <= SETTLE_TOL * np.abs(scale).max(axis=(1, 2))
 
 
 def _steps(mats: np.ndarray, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -190,35 +201,40 @@ def _guard(factors: np.ndarray, failed: bool) -> np.ndarray:
     return d
 
 
-def kalman_filter(params: ModelParams, observations: np.ndarray) -> FilterRun:
-    """Run the forward Kalman recursion on y_1..y_K.
+@dataclass
+class _FilterPass:
+    """The filter's covariance pass at one A: the values of each step it ran, in step order.
 
-    Parameters
-    ----------
-    params : ModelParams
-        Model parameters; covariances may be semidefinite as long as every
-        predictive covariance S_k stays well conditioned.
-    observations : ndarray (K, N_y)
-
-    Raises
-    ------
-    NonFiniteError
-        If the observations, a covariance or the likelihood is not finite.
-    SingularPredictiveCovarianceError
-        If some S_k is numerically singular (estimated condition > 1e12).
+    It ends at the steady step, or at the first factorization that failed; that
+    step's factor is the last of `factors`, and it has no entry in the other lists.
     """
+
+    covs: list = field(default_factory=list)       # Sigma_k
+    pred_covs: list = field(default_factory=list)  # S_k
+    preds: list = field(default_factory=list)      # P_k|k-1
+    crosses: list = field(default_factory=list)    # A Sigma_{k-1}
+    gains: list = field(default_factory=list)
+    factors: list = field(default_factory=list)    # lower Cholesky factors of S_k
+    failed: bool = False
+    steady_step: int | None = None
+
+
+def _observations(params: ModelParams, observations) -> np.ndarray:
+    """The observations as a finite (K, N_y) array, once the model has been validated."""
     validate(params, semidefinite_ok=True)
     ys = np.asarray(observations, dtype=float)
     if ys.ndim == 1:
         ys = ys[:, None]
-    K = ys.shape[0]
-    if K < 1 or ys.shape[1] != params.ny:
+    if ys.shape[0] < 1 or ys.shape[1] != params.ny:
         raise ValueError(f"observations must have shape (K, {params.ny}), got {ys.shape}")
     if not np.isfinite(ys).all():
         raise NonFiniteError("observations contain NaN or infinite values")
+    return ys
+
+
+def _filter_pass(params: ModelParams, K: int) -> _FilterPass:
     A, H, Q, R = params.A, params.H, params.Q, params.R
     At, Ht = A.T, H.T
-
     covs, pred_covs, preds, crosses, gains, factors = [], [], [], [], [], []
     steady_step = None
     Sigma = params.Sigma0
@@ -244,15 +260,80 @@ def kalman_filter(params: ModelParams, observations: np.ndarray) -> FilterRun:
             gains.append(gain)
             if steady_step is not None:
                 break
-    factors = np.array(factors)
-    diagonals = _guard(factors, info != 0)
+    return _FilterPass(covs, pred_covs, preds, crosses, gains, factors, info != 0, steady_step)
+
+
+def _filter_passes(params: Sequence[ModelParams], K: int) -> list[_FilterPass]:
+    """`_filter_pass` at each of several parameter sets that differ in A only, in lockstep.
+
+    Each step makes the 2-D step's products once over the stack of the points
+    still running. A stacked product computes each slice by the BLAS call that
+    `ndarray.dot` makes, so every value is the 2-D pass's. The factorizations
+    stay per slice, because numpy's stacked Cholesky rounds differently from
+    `dpotrf`. A point leaves the stack at the step where it settles or fails.
+    """
+    H, Q, R = params[0].H, params[0].Q, params[0].R
+    Ht = H.T
+    passes = [_FilterPass() for _ in params]
+    live = passes  # the passes still running, in stack order
+    A = np.array([p.A for p in params])
+    At = A.transpose(0, 2, 1)
+    Sigma = params[0].Sigma0
+    settled = np.zeros(len(live), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K):
+            cross = A @ Sigma
+            P_pred = _sym_each(cross @ At + Q)
+            PHt = P_pred @ Ht
+            S = _sym_each(H @ PHt + R)
+            gain = np.zeros_like(PHt)
+            for j, (run, S_j, PHt_j) in enumerate(zip(live, S, PHt)):
+                L, info = dpotrf(S_j, lower=1)
+                run.factors.append(L)
+                if info:
+                    run.failed = True
+                else:
+                    gain[j] = dpotrs(L, PHt_j.T, lower=1)[0].T
+            Sigma = _sym_each(P_pred - gain @ S @ gain.transpose(0, 2, 1))
+            if k:
+                settled = _settled_each(Sigma, prev_Sigma, P_pred)
+                if settled.any():
+                    settled &= _settled_each(S, prev_S, S)
+            keep = []
+            for run, Sigma_j, S_j, P_j, cross_j, gain_j, steady in zip(live, Sigma, S, P_pred, cross, gain, settled):
+                if not run.failed:
+                    run.covs.append(Sigma_j)
+                    run.pred_covs.append(S_j)
+                    run.preds.append(P_j)
+                    run.crosses.append(cross_j)
+                    run.gains.append(gain_j)
+                    if steady:
+                        run.steady_step = k + 1
+                keep.append(not (run.failed or steady))
+            if not all(keep):
+                live = [run for run, kept in zip(live, keep) if kept]
+                if not live:
+                    break
+                A, Sigma, S = A[keep], Sigma[keep], S[keep]
+                At = A.transpose(0, 2, 1)
+            prev_Sigma, prev_S = Sigma, S
+    return passes
+
+
+def _filter_run(params: ModelParams, ys: np.ndarray, cov_pass: _FilterPass) -> FilterRun:
+    """The filter at params.A from its covariance pass: the guard, the means and the likelihood."""
+    K = ys.shape[0]
+    A, H = params.A, params.H
+    factors = np.array(cov_pass.factors)
+    diagonals = _guard(factors, cov_pass.failed)
+    covs, preds, crosses = cov_pass.covs, cov_pass.preds, cov_pass.crosses
     if len(preds) < K:
         # P_{k+1|k} from the settled Sigma_k serves every later step.
-        cross = A.dot(Sigma)
-        preds.append(_sym(cross.dot(At) + Q))
+        cross = A.dot(covs[-1])
+        preds.append(_sym(cross.dot(A.T) + params.Q))
         crosses.append(cross)
     # Steps 1..t are transient, one value each; value t serves steps t+1..K.
-    gains = np.array(gains)
+    gains = np.array(cov_pass.gains)
     t = len(gains) - 1
 
     # mu_k = (A - G_k H A) mu_{k-1} + G_k y_k and z_k = y_k - H A mu_{k-1}. The stacked
@@ -281,48 +362,77 @@ def kalman_filter(params: ModelParams, observations: np.ndarray) -> FilterRun:
         filtered_means=means,
         filtered_covs=np.array(covs),
         residuals=residuals,
-        predictive_covs=np.array(pred_covs),
+        predictive_covs=np.array(cov_pass.pred_covs),
         predicted_covs=np.array(preds),
         cross_covs=np.array(crosses),
         neg_log_lik=nll,
-        steady_step=steady_step,
+        steady_step=cov_pass.steady_step,
     )
 
 
-def rts_smoother(params: ModelParams, filter_run: FilterRun) -> SmootherRun:
-    """Backward smoothing pass over a completed filter run.
+def kalman_filter(params: ModelParams, observations: np.ndarray) -> FilterRun:
+    """Run the forward Kalman recursion on y_1..y_K.
 
-    Produces the smoothed moments down to k = 0 (the initial state, smoothed
-    against all observations) and the gains
+    Parameters
+    ----------
+    params : ModelParams
+        Model parameters; covariances may be semidefinite as long as every
+        predictive covariance S_k stays well conditioned.
+    observations : ndarray (K, N_y)
 
-        G_k = Sigma_k A^T (A Sigma_k A^T + Q)^{-1},  k = 0..K-1,
-
-    where Sigma_0 is the prior initial covariance; A Sigma_k A^T + Q and
-    A Sigma_k are the filter's. A singular A Sigma_k A^T + Q is reported at
-    the 1-based step k + 1 it predicts, the earliest such step first.
+    Raises
+    ------
+    NonFiniteError
+        If the observations, a covariance or the likelihood is not finite.
+    SingularPredictiveCovarianceError
+        If some S_k is numerically singular (estimated condition > 1e12).
     """
-    A = params.A
-    K = filter_run.horizon
-    fmeans, fcovs = filter_run.filtered_means, filter_run.filtered_covs
-    preds = filter_run.predicted_covs
+    ys = _observations(params, observations)
+    return _filter_run(params, ys, _filter_pass(params, ys.shape[0]))
 
-    # G_0..G_last from the filter's distinct predictions; G_last serves every k >= last.
+
+def kalman_filter_lockstep(params: Sequence[ModelParams], observations: np.ndarray) -> list:
+    """`kalman_filter` at each of several parameter sets that differ in A only.
+
+    The checks of the model and the observations run once, because they see
+    A only through its shape; one covariance pass runs over all the sets
+    (`_filter_passes`); the rest runs per set. Each entry is the FilterRun of
+    its set, or the error in `FIT_ERRORS` that `kalman_filter` raises there.
+    """
+    if len(params) == 1:  # the 2-D pass is the faster for one set
+        return [attempt(kalman_filter, params[0], observations)]
+    ys = attempt(_observations, params[0], observations)
+    if isinstance(ys, Exception):
+        return [ys] * len(params)
+    passes = _filter_passes(params, ys.shape[0])
+    return [attempt(_filter_run, p, ys, cov_pass) for p, cov_pass in zip(params, passes)]
+
+
+def _smoother_gains(filter_run: FilterRun) -> np.ndarray:
+    """G_0..G_last from the filter's distinct predictions; G_last serves every k >= last."""
     gains, factors = [], []
-    for P_pred, cross in zip(preds, filter_run.cross_covs):
+    for P_pred, cross in zip(filter_run.predicted_covs, filter_run.cross_covs):
         L, info = dpotrf(P_pred, lower=1)
         factors.append(L)
         if info:
             break
         gains.append(dpotrs(L, cross, lower=1)[0].T)
     _guard(np.array(factors), info != 0)
-    gains = np.array(gains)
-    last = len(gains) - 1
-    priors = [params.Sigma0, *fcovs[:last]]
+    return np.array(gains)
 
-    # Runs of (Sigma_k^s, G_{k-1}) backward from k = K, as (covariance, gain index, length).
+
+def _backward_pass(Sigma0: np.ndarray, filter_run: FilterRun, gains: np.ndarray) -> tuple:
+    """The smoother's covariance recursion, backward from k = K.
+
+    Returns its runs of (Sigma_k^s, G_{k-1}) as three lists, backward: the
+    covariances, the indices of the gains and the run lengths; then Sigma_0^s.
+    """
+    fcovs, preds = filter_run.filtered_covs, filter_run.predicted_covs
+    last = len(gains) - 1
+    priors = [Sigma0, *fcovs[:last]]
     covs, which, lengths = [], [], []
     cov = fcovs[-1]  # Sigma_K^s = Sigma_K
-    k = K - 1
+    k = filter_run.horizon - 1
     while k >= 0:
         i = min(k, last)
         G = gains[i]
@@ -338,6 +448,100 @@ def rts_smoother(params: ModelParams, filter_run: FilterRun) -> SmootherRun:
             k = last
         cov = prev
         k -= 1
+    return covs, which, lengths, cov
+
+
+def _backward_passes(Sigma0: np.ndarray, filter_runs: Sequence[FilterRun], gains: Sequence[np.ndarray]) -> list:
+    """`_backward_pass` of each of several filter runs of one horizon, in lockstep.
+
+    Each round makes one step of every recursion still running by the 2-D
+    step's products over the stack, so each slice is the 2-D value (see
+    `_filter_passes`). The rounds come in two stretches. Over the steps
+    k > last, where G_last serves, every recursion is at the same k, and
+    leaves once it settles or reaches last. Over the steps k <= last, each
+    takes G_k, P_{k+1|k} and Sigma_k at its own k, down to 0.
+    """
+    K = filter_runs[0].horizon
+    lasts = [len(g) - 1 for g in gains]
+    covs = [[] for _ in gains]  # each recursion's run covariances, backward
+    settled_into = [None] * len(gains)  # the length of the run a recursion settled into
+    start = {}  # recursion -> (k, Sigma_{k+1}^s) where its steps k <= last start
+
+    live = [b for b, last in enumerate(lasts) if last < K - 1]
+    for b in set(range(len(gains))) - set(live):
+        start[b] = (K - 1, filter_runs[b].filtered_covs[-1])
+    if live:
+        last = np.array([lasts[b] for b in live])
+        G = np.array([gains[b][-1] for b in live])
+        pred = np.array([filter_runs[b].predicted_covs[-1] for b in live])
+        prior = np.array([filter_runs[b].filtered_covs[lasts[b] - 1] if lasts[b] else Sigma0 for b in live])
+        tol = SETTLE_TOL * np.abs(pred).max(axis=(1, 2))
+        cov = np.array([filter_runs[b].filtered_covs[-1] for b in live])
+    k = K - 1
+    while live:
+        prev = _sym_each(prior + G @ (cov - pred) @ G.transpose(0, 2, 1))
+        settled = np.abs(prev - cov).max(axis=(1, 2)) <= tol
+        for b, cov_b in zip(live, cov):
+            covs[b].append(cov_b)
+        leave = settled | (last == k - 1)
+        if leave.any():
+            for j in np.flatnonzero(leave):
+                b = live[j]
+                if settled[j]:
+                    # Sigma_j^s = prev for j = last..k; steps last+1..k pair it with G_last.
+                    covs[b].append(prev[j])
+                    settled_into[b] = k - lasts[b]
+                start[b] = (lasts[b] - 1 if settled[j] else k - 1, prev[j])
+            stay = ~leave
+            live = [b for b, kept in zip(live, stay) if kept]
+            last, G, pred, prior, tol, prev = last[stay], G[stay], pred[stay], prior[stay], tol[stay], prev[stay]
+        cov = prev
+        k -= 1
+
+    # Entry i of recursion b is row starts[b] + i of each table.
+    starts = np.cumsum([0] + [last + 1 for last in lasts[:-1]])
+    gain_table = np.concatenate(gains)
+    pred_table = np.concatenate([fr.predicted_covs for fr in filter_runs])
+    prior_table = np.concatenate([m for fr, last in zip(filter_runs, lasts) for m in (Sigma0[None], fr.filtered_covs[:last])])
+    initial = [cov_b if k_b < 0 else None for k_b, cov_b in (start[b] for b in range(len(gains)))]
+    live = [b for b in range(len(gains)) if initial[b] is None]
+    k = np.array([start[b][0] for b in live], dtype=np.intp)
+    rows = starts[live] + k
+    cov = np.array([start[b][1] for b in live])
+    while live:
+        G = gain_table[rows]
+        prev = _sym_each(prior_table[rows] + G @ (cov - pred_table[rows]) @ G.transpose(0, 2, 1))
+        for b, cov_b in zip(live, cov):
+            covs[b].append(cov_b)
+        k -= 1
+        rows -= 1
+        done = k < 0
+        if done.any():
+            for j in np.flatnonzero(done):
+                initial[live[j]] = prev[j]
+            stay = ~done
+            live = [b for b, kept in zip(live, stay) if kept]
+            k, rows, prev = k[stay], rows[stay], prev[stay]
+        cov = prev
+
+    passes = []
+    for b, last in enumerate(lasts):
+        k0 = start[b][0]
+        head = len(covs[b]) - (k0 + 1)  # the runs of the steps k > last, the settled one included
+        which = [last] * head + list(range(k0, -1, -1))
+        lengths = [1] * head + [1] * (k0 + 1)
+        if settled_into[b] is not None:
+            lengths[head - 1] = settled_into[b]
+        passes.append((covs[b], which, lengths, initial[b]))
+    return passes
+
+
+def _smoother_run(params: ModelParams, filter_run: FilterRun, gains: np.ndarray, backward: tuple) -> SmootherRun:
+    """The smoother from its gains and backward pass: the runs, merged, and the means."""
+    covs, which, lengths, initial_cov = backward
+    K = filter_run.horizon
+    fmeans = filter_run.filtered_means
+    last = len(gains) - 1
     covs = np.array(covs[::-1])
     run_gains = gains[which[::-1]]
     # Where a recursion settles bit for bit, neighbouring runs hold the same pair. Merging them
@@ -348,7 +552,7 @@ def rts_smoother(params: ModelParams, filter_run: FilterRun) -> SmootherRun:
 
     # m_k = (mu_k - G_k A mu_k) + G_k m_{k+1}, with mu_k the filtered mean.
     prior_means = np.vstack([params.mu0, fmeans[:-1]])
-    GA = gains @ A
+    GA = gains @ params.A
     offsets = np.empty((K, params.nx))
     np.matmul(prior_means[:last, None], GA[:last].transpose(0, 2, 1), out=offsets[:last, None])
     offsets[last:] = prior_means[last:] @ GA[last].T
@@ -361,8 +565,43 @@ def rts_smoother(params: ModelParams, filter_run: FilterRun) -> SmootherRun:
 
     return SmootherRun(
         smoothed_means=means,
-        initial_cov=cov,
+        initial_cov=initial_cov,
         smoothed_covs=covs[starts],
         gains=run_gains[starts],
         run_lengths=np.add.reduceat(np.array(lengths[::-1]), starts),
     )
+
+
+def rts_smoother(params: ModelParams, filter_run: FilterRun) -> SmootherRun:
+    """Backward smoothing pass over a completed filter run.
+
+    Produces the smoothed moments down to k = 0 (the initial state, smoothed
+    against all observations) and the gains
+
+        G_k = Sigma_k A^T (A Sigma_k A^T + Q)^{-1},  k = 0..K-1,
+
+    where Sigma_0 is the prior initial covariance; A Sigma_k A^T + Q and
+    A Sigma_k are the filter's. A singular A Sigma_k A^T + Q is reported at
+    the 1-based step k + 1 it predicts, the earliest such step first.
+    """
+    gains = _smoother_gains(filter_run)
+    return _smoother_run(params, filter_run, gains, _backward_pass(params.Sigma0, filter_run, gains))
+
+
+def rts_smoother_lockstep(params: Sequence[ModelParams], filter_runs: Sequence[FilterRun]) -> list:
+    """`rts_smoother` at each of several parameter sets that differ in A only.
+
+    One backward covariance pass runs over them all (`_backward_passes`). The
+    gain loop runs per set: each of its steps is one factorization and one
+    solve, which stay per slice anyway. Each entry is the SmootherRun of its
+    set, or the error in `FIT_ERRORS` that `rts_smoother` raises there.
+    """
+    runs = [attempt(_smoother_gains, fr) for fr in filter_runs]
+    ok = [j for j, gains in enumerate(runs) if not isinstance(gains, Exception)]
+    if len(ok) > 1:
+        passes = _backward_passes(params[0].Sigma0, [filter_runs[j] for j in ok], [runs[j] for j in ok])
+    else:  # the 2-D pass is the faster for one
+        passes = [_backward_pass(params[j].Sigma0, filter_runs[j], runs[j]) for j in ok]
+    for j, backward in zip(ok, passes):
+        runs[j] = _smoother_run(params[j], filter_runs[j], runs[j], backward)
+    return runs

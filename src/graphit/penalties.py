@@ -53,6 +53,9 @@ class Potential:
             value, floor = getattr(self, shape), _SHAPE_FLOOR[shape]
             if value is None or not value > floor:
                 raise ValueError(f"{self.family} requires {shape} > {floor}, got {value}")
+        for other in _SHAPE_FLOOR:
+            if other != shape and getattr(self, other) is not None:
+                raise ValueError(f"{self.family} takes no {other}, got {other}={getattr(self, other)}")
 
 
 def rho(p: Potential, u) -> np.ndarray | float:

@@ -114,6 +114,13 @@ def _parse_floats(section, key) -> tuple[float, ...]:
     return values
 
 
+def _check_shape_keys(section, family: str) -> None:
+    """A shape key that `family` does not take is an error, not a value to drop."""
+    for shape, key in _SHAPE_KEYS.items():
+        if key in section and family in SHAPE_FIELD and SHAPE_FIELD[family] != shape:
+            raise ConfigError(f"key {key!r} in section [{section.name}] does not apply to the {family} family")
+
+
 def _load_potential(cp: configparser.ConfigParser, method: str) -> Potential | None:
     name = f"potential.{method}"
     if name not in cp:
@@ -125,6 +132,7 @@ def _load_potential(cp: configparser.ConfigParser, method: str) -> Potential | N
         raise ConfigError(f"missing key 'family' in section [{name}]")
     if method == "graphem" and family != "l1":
         raise ConfigError("graphem uses the l1 potential only")
+    _check_shape_keys(sec, family)
     gamma = _get_typed(sec, "gamma", float)
     shapes = {shape: _get_typed(sec, key, float) for shape, key in _SHAPE_KEYS.items() if key in sec}
     try:
@@ -141,6 +149,7 @@ def _load_grid(cp: configparser.ConfigParser, method: str, template: Potential |
     if template is None:
         raise ConfigError(f"[{name}] needs a [potential.{method}] section")
     sec = cp[name]
+    _check_shape_keys(sec, template.family)
     shape = SHAPE_FIELD[template.family]
     axes = {"gamma": _parse_floats(sec, "gamma")}
     if shape is not None:

@@ -21,13 +21,14 @@ n = 32 on a 2-core x86-64 VM with one BLAS thread.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor
 
 from .em_stats import EMStats, q_quadratic
-from .exceptions import NotPositiveDefiniteError
+from .exceptions import NotPositiveDefiniteError, attempt
 
 
 @dataclass(frozen=True)
@@ -161,6 +162,24 @@ def effective_prox_scale(stats: EMStats, Q: np.ndarray, cfg: DRConfig) -> float:
     return _prox_scale(cfg.step, np.linalg.eigh(stats.Phi)[0], np.linalg.eigh(Q)[0])
 
 
+def _setup(stats: EMStats, Omega: np.ndarray, cfg: DRConfig, q_factors: QFactors) -> tuple:
+    """The quadratic prox of one solve, and the l1 thresholds scale * Omega at its prox scale."""
+    m, W = np.linalg.eigh(stats.Phi)
+    scale = _prox_scale(cfg.step, m, q_factors.lam)
+    return _QuadraticProx(stats.Delta, q_factors.lam, q_factors.U, m, W, scale), scale * Omega
+
+
+def _report(x, iterations, residual, converged, stats, Q, Omega, A_init, q_factors) -> SolverReport:
+    """The report of a finished solve, with A_init in place of an x whose inner objective is worse."""
+    chol = q_factors.cholesky
+    fell_back = surrogate_value(x, stats, Q, Omega, chol) > surrogate_value(A_init, stats, Q, Omega, chol) + 1e-12
+    if fell_back:
+        x = np.array(A_init, dtype=float)
+    return SolverReport(
+        minimizer=x, iterations=iterations, final_residual=residual, converged=converged, fell_back=fell_back
+    )
+
+
 def douglas_rachford(
     stats: EMStats,
     Q: np.ndarray,
@@ -185,10 +204,7 @@ def douglas_rachford(
     """
     if q_factors is None:
         q_factors = QFactors.of(Q)
-    m, W = np.linalg.eigh(stats.Phi)
-    scale = _prox_scale(cfg.step, m, q_factors.lam)
-    prox_q = _QuadraticProx(stats.Delta, q_factors.lam, q_factors.U, m, W, scale)
-    t = scale * Omega
+    prox_q, t = _setup(stats, Omega, cfg, q_factors)
     neg_t = -t
     relaxation = cfg.relaxation
 
@@ -219,9 +235,114 @@ def douglas_rachford(
                 converged = True
                 break
         norm_prev = math.sqrt(np.vdot(x, x))
+    return _report(x, n, residual, converged, stats, Q, Omega, A_init, q_factors)
 
-    chol = q_factors.cholesky
-    fell_back = surrogate_value(x, stats, Q, Omega, chol) > surrogate_value(A_init, stats, Q, Omega, chol) + 1e-12
-    if fell_back:
-        x = np.array(A_init, dtype=float)
-    return SolverReport(minimizer=x, iterations=n, final_residual=residual, converged=converged, fell_back=fell_back)
+
+class _StackedProx:
+    """Several `_QuadraticProx` of one Q, applied to a stack of points, one per slice.
+
+    Each product is one stacked call, which computes each slice by the BLAS
+    call that `np.dot` makes in `_QuadraticProx`, so each slice is its value.
+    """
+
+    def __init__(self, proxes: Sequence[_QuadraticProx]):
+        self._U, self._Ut = proxes[0]._U, proxes[0]._Ut
+        self._W, self._Wt, self._G, self._B = (np.array([getattr(p, name) for p in proxes]) for name in _PER_SOLVE)
+        self.keep(slice(None))
+
+    def keep(self, rows) -> None:
+        """Keep the points `rows` (an index or a mask) only."""
+        self._W, self._Wt, self._G, self._B = (getattr(self, name)[rows] for name in _PER_SOLVE)
+        self._left = np.empty_like(self._B)
+        self._inner = np.empty_like(self._B)
+
+    def __call__(self, V: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.matmul(self._Ut, V, out=self._left)
+        inner = np.matmul(self._left, self._W, out=self._inner)
+        inner *= self._G
+        inner += self._B
+        np.matmul(self._U, inner, out=self._left)
+        return np.matmul(self._left, self._Wt, out=out)
+
+
+# The arrays of a `_QuadraticProx` that differ between the solves of one Q.
+_PER_SOLVE = ("_W", "_Wt", "_G", "_B")
+
+
+def _norms(V: np.ndarray) -> np.ndarray:
+    """sqrt(np.vdot(v, v)) of each slice v of a stack, in one call.
+
+    A stacked product of each flattened slice by itself makes, per slice, the
+    `ddot` call that `np.vdot` makes, so each norm has the 2-D norm's bits; a
+    stacked sum of squares would round differently.
+    """
+    rows = V.reshape(len(V), 1, -1)
+    return np.sqrt(np.matmul(rows, rows.transpose(0, 2, 1))[:, 0, 0])
+
+
+def douglas_rachford_lockstep(
+    problems: Sequence[tuple[EMStats, np.ndarray, np.ndarray]],
+    Q: np.ndarray,
+    cfg: DRConfig,
+    q_factors: QFactors,
+) -> list:
+    """`douglas_rachford` of each problem (stats, Omega, A_init), all with one Q, in lockstep.
+
+    Each sweep runs once over the stack of the problems still iterating, with
+    the 2-D sweep's operations, so each slice takes the 2-D values (see
+    `_StackedProx` and `_norms`). A problem leaves the stack when it meets its
+    tolerance, so each stops after as many sweeps as it would alone. Each
+    entry is the SolverReport of its problem, or the error in `FIT_ERRORS`
+    that `douglas_rachford` raises there.
+    """
+    if len(problems) == 1:  # the 2-D loop is the faster for one
+        stats, Omega, A_init = problems[0]
+        return [attempt(douglas_rachford, stats, Q, Omega, A_init, cfg, q_factors)]
+    reports = [attempt(_setup, stats, Omega, cfg, q_factors) for stats, Omega, _ in problems]
+    live = [j for j, setup in enumerate(reports) if not isinstance(setup, Exception)]
+    if not live:
+        return reports
+    prox_q = _StackedProx([reports[j][0] for j in live])
+    t = np.array([reports[j][1] for j in live])
+    neg_t = -t
+    relaxation = cfg.relaxation
+
+    z = np.array([problems[j][2] for j in live], dtype=float)
+    c, v, y, x, x_prev = (np.empty_like(z) for _ in range(5))
+    norms = residuals = np.full(len(live), math.inf)
+    finished = {}  # problem -> (x, iterations, residual, converged)
+    for n in range(1, cfg.max_iter + 1):
+        x, x_prev = x_prev, x
+        _clip(z, t, neg_t, out=c)
+        np.subtract(z, c, out=x)
+        np.subtract(x, c, out=v)
+        prox_q(v, out=y)
+        if relaxation == 1.0:
+            np.add(c, y, out=z)
+        else:
+            np.subtract(y, x, out=y)
+            y *= relaxation
+            np.add(c, x, out=z)
+            z += y
+        if n > 1:
+            np.subtract(x, x_prev, out=v)
+            residuals = _norms(v)
+            done = residuals <= cfg.tol * (1.0 + norms)
+            if done.any():
+                for row in np.flatnonzero(done):
+                    finished[live[row]] = (x[row].copy(), n, float(residuals[row]), True)
+                keep = ~done
+                live = [j for j, kept in zip(live, keep) if kept]
+                if not live:
+                    break
+                z, t, neg_t, x, residuals = z[keep], t[keep], neg_t[keep], x[keep], residuals[keep]
+                c, v, y, x_prev = (np.empty_like(z) for _ in range(4))
+                prox_q.keep(keep)
+        norms = _norms(x)
+    for row, j in enumerate(live):
+        finished[j] = (x[row].copy(), cfg.max_iter, float(residuals[row]), False)
+
+    for j, (x, n, residual, converged) in finished.items():
+        stats, Omega, A_init = problems[j]
+        reports[j] = _report(x, n, residual, converged, stats, Q, Omega, A_init, q_factors)
+    return reports

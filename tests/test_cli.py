@@ -1,4 +1,6 @@
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -373,6 +375,55 @@ class TestGridSearch:
         assert grids["graphem"] == (l1(3.0), l1(1.0), l1(2.0))
 
 
+GRID_GAMMAS, GRID_LAMBDAS = ("3.16", "10", "31.6"), ("0.0316", "0.1", "0.316")
+
+
+def run_grid(cfg, *options):
+    """(exit code, standard output) of `graphit grid cfg options...`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["grid", str(cfg), *options])
+    return code, out.getvalue()
+
+
+class TestGridLockstep:
+    @settings(max_examples=6)
+    @given(
+        seed=st.integers(0, 2**16), n_x=st.integers(2, 4), k=st.integers(10, 60),
+        gammas=st.permutations(GRID_GAMMAS), lambdas=st.permutations(GRID_LAMBDAS),
+    )
+    def test_grid_output_does_not_depend_on_jobs_or_order(self, tmp_path_factory, seed, n_x, k, gammas, lambdas):
+        """`--jobs 1, 2, 3` split the 9 points into 1 to 3 lockstep batches, and print the same bytes.
+
+        In a batch, fits leave at different outer iterations, so the batch
+        shrinks. Each point's row is also the same when the grid lists its
+        points in another order.
+        """
+        sizes = "n_x = 4\nn_y = 4\ns = 3\nk = 60\n"
+        directory = tmp_path_factory.mktemp("grid")
+
+        def config(gammas, lambdas):
+            cfg = directory / f"{'_'.join(gammas)}-{'_'.join(lambdas)}.cfg"
+            cfg.write_text(
+                QUICK_CFG.replace(sizes, f"n_x = {n_x}\nn_y = {n_x}\ns = 2\nk = {k}\n")
+                + f"\n[grid.graphit]\ngamma = {' '.join(gammas)}\nlambda = {' '.join(lambdas)}\n"
+            )
+            return cfg
+
+        shipped = config(GRID_GAMMAS, GRID_LAMBDAS)
+        runs = [run_grid(shipped, "--seed", str(seed), "--jobs", str(jobs)) for jobs in (1, 2, 3)]
+        assert runs[0][0] in (0, 2)  # 2: every fit failed
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+        def rows(output):
+            return sorted(output.splitlines()[1:-1])
+
+        code, permuted = run_grid(config(gammas, lambdas), "--seed", str(seed))
+        assert code == runs[0][0]
+        assert rows(permuted) == rows(runs[0][1])
+        assert len(rows(permuted)) == (9 if code == 0 else 0)
+
+
 class TestExportDot:
     def test_zero_matrix_isolated_nodes(self):
         text = export_dot(np.zeros((3, 3)), 1e-10)
@@ -602,6 +653,12 @@ class TestMainCommand:
                 QUICK_CFG.replace("graphit graphem mlem", "graphit mlem").replace("[potential.graphem]", "[grid.graphem]"),
                 ["[grid.graphem]", "[potential.graphem]"],
             ),
+            (
+                QUICK_CFG.replace("family = log-sum\ngamma = 10\n", "family = scad\ngamma = 10\na = 3.7\n"),
+                ["'lambda'", "[potential.graphit]", "scad"],
+            ),
+            (QUICK_CFG + "lambda = 5\n", ["'lambda'", "[potential.graphem]", "l1"]),
+            (QUICK_CFG + "\n[grid.graphem]\ngamma = 1 10\na = 3\n", ["'a'", "[grid.graphem]", "l1"]),
         ],
         ids=[
             "unknown-scenario-key",
@@ -621,6 +678,9 @@ class TestMainCommand:
             "nan-sigma-q",
             "infinite-target-norm",
             "grid-without-potential",
+            "lambda-for-scad",
+            "lambda-for-l1",
+            "grid-a-for-l1",
         ],
     )
     def test_config_file_error_names_the_culprit(self, tmp_path, capsys, text, fragments):
@@ -650,22 +710,28 @@ class TestMainCommand:
             assert "Traceback" not in err
             assert not table.exists()
 
-    @pytest.mark.parametrize("existed", [False, True], ids=["new-dir", "existing-dir"])
-    def test_bench_where_every_fit_fails_leaves_no_new_directory(self, tmp_path, capsys, monkeypatch, existed):
+    @pytest.mark.parametrize(
+        "out_dir, existed",
+        [("o", False), ("o", True), ("new/sub", False), ("new/sub", True)],
+        ids=["new-dir", "existing-dir", "new-nested-dirs", "new-dir-in-existing-dir"],
+    )
+    def test_bench_where_every_fit_fails_leaves_no_new_directory(self, tmp_path, capsys, monkeypatch, out_dir, existed):
+        """Every directory the run created is removed, ancestors too; one that existed before is kept."""
         def failing_fit(*args):
             raise NonFiniteError("negative log-likelihood is not finite")
 
         monkeypatch.setattr(cli, "_fit", failing_fit)
         cfg = tmp_path / "quick.cfg"
         cfg.write_text(QUICK_CFG)
-        out = tmp_path / "o"
+        out = tmp_path / out_dir
+        top = tmp_path / Path(out_dir).parts[0]
         if existed:
-            out.mkdir()
+            top.mkdir()
         with pytest.warns(UserWarning, match="failed"):
             assert main(["bench", str(cfg), "--out", str(out), "--realizations", "1"]) == 2
         assert capsys.readouterr().err.startswith("numerical failure: ")
-        assert out.exists() == existed
-        assert not existed or list(out.iterdir()) == []
+        assert top.exists() == existed
+        assert not existed or list(top.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv",

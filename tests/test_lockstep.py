@@ -1,0 +1,278 @@
+"""The lockstep passes against the 2-D passes they batch, bit for bit.
+
+`graphit grid` fits its points in lockstep (`graphit_lockstep`): one stacked
+covariance pass of the filter and of the smoother, and one stacked
+Douglas-Rachford loop, over the fits still running. Each point must get the
+bytes that its lone fit gets. The first three tests pin the hazards that this
+rests on; the others compare whole passes, solves and fits.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import graphit.algorithms as algorithms
+import graphit.kalman as kalman
+from graphit import FAMILIES, ModelParams, NonFiniteError, Potential, SingularPredictiveCovarianceError
+from graphit.algorithms import EstimatorConfig, default_init, graphit, graphit_lockstep
+from graphit.em_stats import EMStats
+from graphit.exceptions import attempt
+from graphit.model import generate_sparse_A, simulate
+from graphit.penalties import SHAPE_FIELD
+from graphit.solver import DRConfig, QFactors, _norms, douglas_rachford, douglas_rachford_lockstep
+
+from oracles import random_spd, random_stable_params
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@given(n=st.integers(1, 32), n_y=st.integers(1, 8), batch=st.integers(2, 9), seed=seeds)
+def test_stacked_products_match_ndarray_dot_per_slice(n, n_y, batch, seed):
+    """Each product of the lockstep passes, stacked, equals `ndarray.dot` (or `np.dot`) on each slice."""
+    rng = np.random.default_rng(seed)
+    A, Sigma, W = (rng.standard_normal((batch, n, n)) for _ in range(3))
+    H = rng.standard_normal((n_y, n))
+    gain, S = rng.standard_normal((batch, n, n_y)), rng.standard_normal((batch, n_y, n_y))
+    U = rng.standard_normal((n, n))
+    cross = A @ Sigma
+    stacked = [
+        (cross, lambda j: A[j].dot(Sigma[j])),
+        (cross @ A.transpose(0, 2, 1), lambda j: cross[j].dot(A[j].T)),
+        (cross @ H.T, lambda j: cross[j].dot(H.T)),
+        (H @ gain, lambda j: H.dot(gain[j])),
+        (gain @ S @ gain.transpose(0, 2, 1), lambda j: gain[j].dot(S[j]).dot(gain[j].T)),
+        (np.matmul(U, W), lambda j: np.dot(U, W[j])),
+        (np.matmul(W, A), lambda j: np.dot(W[j], A[j])),
+    ]
+    for product, per_slice in stacked:
+        for j in range(batch):
+            assert np.array_equal(product[j], per_slice(j))
+
+
+@given(n=st.integers(1, 32), batch=st.integers(1, 9), seed=seeds, scale=st.floats(-8.0, 8.0))
+def test_stacked_norms_match_vdot_per_slice(n, batch, seed, scale):
+    """`_norms` gives each slice, of a stack or of a compacted one, the bits of sqrt(np.vdot(v, v))."""
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((batch, n, n)) * 10.0 ** scale
+    keep = rng.uniform(size=batch) < 0.6
+    for stack in (V, V[keep]) if keep.any() else (V,):
+        assert np.array_equal(_norms(stack), [math.sqrt(np.vdot(v, v)) for v in stack])
+
+
+def random_model(rng, n_x, n_y, q_scale):
+    params = random_stable_params(rng, n_x, n_y)
+    return dataclasses.replace(params, Q=q_scale * params.Q)
+
+
+def transition_matrices(rng, n_x, batch):
+    """Transition matrices of spectral radius 0.1 to 1.3, with now and then one that overflows."""
+    As = []
+    for _ in range(batch):
+        A = rng.standard_normal((n_x, n_x))
+        A *= rng.uniform(0.1, 1.3) / max(np.abs(np.linalg.eigvals(A)).max(), 1e-12)
+        if rng.uniform() < 0.1:
+            A *= 1e160
+        As.append(A)
+    return As
+
+
+def outcome_bytes(outcome, fields):
+    """A pass's fields as bytes, or its error's type and message."""
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return tuple(np.asarray(getattr(outcome, name)).tobytes() for name in fields)
+
+
+FILTER_FIELDS = ("filtered_means", "filtered_covs", "residuals", "predictive_covs", "predicted_covs",
+                 "cross_covs", "neg_log_lik", "steady_step")
+SMOOTHER_FIELDS = ("smoothed_means", "initial_cov", "smoothed_covs", "gains", "run_lengths")
+
+
+@given(
+    n_x=st.integers(1, 8), n_y=st.integers(1, 8), K=st.integers(1, 80), batch=st.integers(2, 6),
+    q_scale=st.sampled_from([1.0, 1e-3, 0.0]), seed=seeds,
+)
+def test_lockstep_filter_and_smoother_match_lone_passes(n_x, n_y, K, batch, q_scale, seed):
+    """Every field of each FilterRun and SmootherRun, or the error raised, is the lone pass's.
+
+    Q = 0 makes covariances that never settle, so each pass runs to K; an
+    overflowing A fails its point while the others go on.
+    """
+    rng = np.random.default_rng(seed)
+    base = random_model(rng, n_x, n_y, q_scale)
+    observations = rng.standard_normal((K, n_y))
+    params = [dataclasses.replace(base, A=A) for A in transition_matrices(rng, n_x, batch)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        filters = kalman.kalman_filter_lockstep(params, observations)
+        ok = [j for j, run in enumerate(filters) if not isinstance(run, Exception)]
+        smoothers = dict(zip(ok, kalman.rts_smoother_lockstep([params[j] for j in ok], [filters[j] for j in ok])))
+        for j, p in enumerate(params):
+            lone = attempt(kalman.kalman_filter, p, observations)
+            assert outcome_bytes(filters[j], FILTER_FIELDS) == outcome_bytes(lone, FILTER_FIELDS)
+            if j in smoothers:
+                lone_smoother = attempt(kalman.rts_smoother, p, lone)
+                assert outcome_bytes(smoothers[j], SMOOTHER_FIELDS) == outcome_bytes(lone_smoother, SMOOTHER_FIELDS)
+
+
+@given(n_x=st.integers(1, 8), n_y=st.integers(1, 8), K=st.integers(1, 40), batch=st.integers(2, 6), seed=seeds)
+def test_lockstep_factors_are_dpotrf_per_slice(n_x, n_y, K, batch, seed):
+    """The stacked filter pass factors each S_k by `dpotrf` alone, as the 2-D pass does.
+
+    numpy's stacked Cholesky runs another LAPACK build and differs from
+    `dpotrf` in the last bits at n >= 8, so it would move every later value.
+    """
+    rng = np.random.default_rng(seed)
+    base = random_model(rng, n_x, n_y, 1.0)
+    params = [dataclasses.replace(base, A=A) for A in transition_matrices(rng, n_x, batch)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        passes = kalman._filter_passes(params, K)
+        for p, stacked in zip(params, passes):
+            lone = kalman._filter_pass(p, K)
+            assert [L.tobytes() for L in stacked.factors] == [L.tobytes() for L in lone.factors]
+            assert (stacked.failed, stacked.steady_step) == (lone.failed, lone.steady_step)
+
+
+@st.composite
+def dr_batches(draw):
+    """A batch of weighted-l1 problems with one Q, and a DRConfig; n in 1..8."""
+    n = draw(st.integers(1, 8))
+    batch = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(seeds))
+    Q = random_spd(rng, n, scale=1.0 / n)
+    problems = []
+    for _ in range(batch):
+        stats = EMStats(Psi=random_spd(rng, n), Phi=random_spd(rng, n), Delta=rng.standard_normal((n, n)) * n)
+        Omega = rng.uniform(0.0, 1.5, size=(n, n)) * (rng.uniform(size=(n, n)) < 0.7)
+        problems.append((stats, Omega, rng.standard_normal((n, n))))
+    cfg = DRConfig(
+        step=10.0 ** draw(st.floats(-1.0, 1.0)),
+        relaxation=draw(st.one_of(st.just(1.0), st.floats(0.05, 1.95))),
+        tol=10.0 ** draw(st.floats(-10.0, -3.0)),
+        max_iter=draw(st.sampled_from([1, 2, 3, 2000])),
+    )
+    return problems, Q, cfg
+
+
+REPORT_FIELDS = ("minimizer", "iterations", "final_residual", "converged", "fell_back")
+
+
+@given(dr_batches())
+def test_douglas_rachford_lockstep_matches_lone_solves(batch):
+    """Each problem's report is the lone solve's, minimizer bytes and iteration count included."""
+    problems, Q, cfg = batch
+    q_factors = QFactors.of(Q)
+    reports = douglas_rachford_lockstep(problems, Q, cfg, q_factors)
+    for (stats, Omega, A_init), report in zip(problems, reports):
+        lone = douglas_rachford(stats, Q, Omega, A_init, cfg, q_factors)
+        assert outcome_bytes(report, REPORT_FIELDS) == outcome_bytes(lone, REPORT_FIELDS)
+
+
+def potentials(draw, count):
+    points = []
+    for _ in range(count):
+        family = draw(st.sampled_from(FAMILIES))
+        shape = SHAPE_FIELD[family]
+        values = {"lam": 10.0 ** draw(st.floats(-2.0, 0.0)), "a": draw(st.floats(2.1, 5.0))}
+        points.append(Potential(family, gamma=10.0 ** draw(st.floats(-0.5, 1.5)),
+                                **({shape: values[shape]} if shape else {})))
+    return points
+
+
+@settings(max_examples=20)
+@given(
+    n_x=st.integers(2, 8), K=st.integers(10, 80), seed=seeds, data=st.data(),
+    stage=st.sampled_from(["_filter_run", "_smoother_gains"]),
+    error=st.sampled_from([NonFiniteError("injected"), SingularPredictiveCovarianceError(3)]),
+)
+def test_graphit_lockstep_matches_lone_fits(n_x, K, seed, data, stage, error):
+    """Each point's A_hat bytes, objective trace, iterates, stop and per-call DR iterations are its lone fit's.
+
+    Points of every family run together. Some are made to fail in the E-step at
+    a drawn outer iteration (or in the final objective), by an error raised at
+    one of their iterates, in the filter or in the smoother; each gets the error
+    of its lone fit, and the others go on.
+    """
+    A_true = generate_sparse_A(n_x, n_x, 0.9, seed)
+    params = ModelParams(A=A_true, H=np.eye(n_x), Q=0.01 * np.eye(n_x), R=0.01 * np.eye(n_x),
+                         mu0=np.zeros(n_x), Sigma0=1e-8 * np.eye(n_x))
+    observations = simulate(params, K, seed).observations
+    points = potentials(data.draw, data.draw(st.integers(2, 5)))
+    cfg = EstimatorConfig(epsilon=1e-3, max_outer=12)
+    A0 = default_init(n_x)
+
+    def lone_fits(monkeypatch):
+        results = []
+        for point in points:
+            calls = []
+            douglas = algorithms.douglas_rachford
+
+            def counted(*args):
+                report = douglas(*args)
+                calls.append(report.iterations)
+                return report
+
+            monkeypatch.setattr(algorithms, "douglas_rachford", counted)
+            results.append((attempt(graphit, observations, params, A0, dataclasses.replace(cfg, potential=point)), calls))
+            monkeypatch.setattr(algorithms, "douglas_rachford", douglas)
+        return results
+
+    def lockstep_fits(monkeypatch):
+        rounds = []
+        lockstep = algorithms.douglas_rachford_lockstep
+
+        def counted(*args):
+            reports = lockstep(*args)
+            rounds.append([r.iterations for r in reports])
+            return reports
+
+        monkeypatch.setattr(algorithms, "douglas_rachford_lockstep", counted)
+        results = graphit_lockstep(observations, params, A0, cfg, points)
+        monkeypatch.setattr(algorithms, "douglas_rachford_lockstep", lockstep)
+        return results, rounds
+
+    # The E-step of outer iteration f runs at iterate f - 1 (A0 for f = 1); a fit whose
+    # E-step fails at f >= 2 fails mid-batch, and at its last iterate, in the final objective.
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        clean = lone_fits(monkeypatch)
+    failing_at = set()
+    for result, _ in clean:
+        if data.draw(st.booleans()):
+            f = data.draw(st.integers(2, result.outer_iterations + 1))
+            failing_at.add(result.iterates[f - 2].tobytes())
+
+    filter_run, smoother_gains = kalman._filter_run, kalman._smoother_gains
+    filtered_at = {}  # id of a FilterRun -> the bytes of its A
+
+    def failing_filter(p, *args):
+        if stage == "_filter_run" and p.A.tobytes() in failing_at:
+            raise error
+        run = filter_run(p, *args)
+        filtered_at[id(run)] = p.A.tobytes()
+        return run
+
+    def failing_gains(run):
+        if stage == "_smoother_gains" and filtered_at[id(run)] in failing_at:
+            raise error
+        return smoother_gains(run)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(kalman, "_filter_run", failing_filter)
+        monkeypatch.setattr(kalman, "_smoother_gains", failing_gains)
+        lone = lone_fits(monkeypatch)
+        results, rounds = lockstep_fits(monkeypatch)
+
+    for (expected, calls), result in zip(lone, results):
+        if isinstance(expected, Exception):
+            assert (type(result), str(result)) == (type(expected), str(expected))
+            continue
+        assert result.A_hat.tobytes() == expected.A_hat.tobytes()
+        assert result.objective_trace == expected.objective_trace
+        assert (result.outer_iterations, result.stopped_by) == (expected.outer_iterations, expected.stopped_by)
+        assert [A.tobytes() for A in result.iterates] == [A.tobytes() for A in expected.iterates]
+    # Outer iteration i solves one DR problem per fit that reached it, in grid order.
+    for i, iterations in enumerate(rounds):
+        assert iterations == [calls[i] for _, calls in lone if len(calls) > i]

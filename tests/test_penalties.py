@@ -10,6 +10,7 @@ from graphit import (
     rho_prime,
     weight_matrix,
 )
+from graphit.penalties import SHAPE_FIELD
 
 
 def sample_potential(family, gamma=1.0):
@@ -40,6 +41,15 @@ class TestConstruction:
     def test_scad_rejects_small_a(self):
         with pytest.raises(ValueError):
             Potential("scad", gamma=1.0, a=2.0)
+
+    @pytest.mark.parametrize(
+        "family, shapes",
+        [("l1", {"lam": 0.1}), ("l1", {"a": 3.0}), ("scad", {"a": 3.7, "lam": 0.1}), ("log-sum", {"lam": 0.1, "a": 3.0})],
+    )
+    def test_rejects_a_shape_field_the_family_does_not_use(self, family, shapes):
+        unused = next(name for name in shapes if name != SHAPE_FIELD[family])
+        with pytest.raises(ValueError, match=f"{family} takes no {unused}"):
+            Potential(family, gamma=1.0, **shapes)
 
 
 class TestRho:
