@@ -12,6 +12,11 @@ iterate, yielding the quadratic bound statistics) with a minimization step:
 The tracked objective is penalty(A) plus the filtering negative
 log-likelihood; by construction of the bounds it never increases along the
 iterates.
+
+``graphit_lockstep`` runs several graphit fits that share their data and
+start, one per potential, with each outer iteration's covariance passes and
+Douglas-Rachford sweeps stacked over the fits still running. Each fit's
+result is bit for bit the one ``graphit`` returns; a grid search is its use.
 """
 
 from __future__ import annotations

@@ -12,7 +12,12 @@ The benchmark's tracer (``CALLER_SPANS`` in ``perfbench/tracing.py``) times
 the estimators, models, metrics, config reader and exporters by replacing
 their names on this module. Their callers therefore live here and look each
 name up as a global of this module at call time: no table of functions built
-at import, no call routed through another module.
+at import, no call routed through another module. A grid of several points
+is fitted in lockstep by `graphit_lockstep`, which the tracer does not wrap,
+so it calls none of the traced estimator names: the tracer sees those fits
+only through the layer names that `graphit.algorithms` still calls for each
+fit (`compute_stats`, `weight_matrix`, `penalty_value`, `objective`), outside
+any fit span.
 """
 
 from __future__ import annotations

@@ -57,6 +57,15 @@ backward on a reversed copy of their offsets: by doubling over the stretch
 the constant smoother gain serves, then step by step through the transient
 gains.
 
+Several models that differ in A only, as the fits of a grid search at one
+outer iteration, can share the covariance loops: `kalman_filter_lockstep` and
+`rts_smoother_lockstep` make each step of `_filter_passes` and
+`_backward_passes` once over the stack of the models still running, by the
+2-D step's operations, so each model gets the 2-D bits. The checks of the
+model and the rest of each pass run per model, through the same code as
+`kalman_filter` and `rts_smoother`. Single fits keep the 2-D loops, whose
+`ndarray.dot` calls dispatch faster than stacked `@`.
+
 At n_x = 8, K = 1000 (the `table2-8-4` data at `default_init(8)`) one
 E-step, filter, smoother and `compute_stats`, takes about 1.5 ms at best and
 2.5 ms in the median of 400 calls; at n_x = 4, K = 60, about 1.1 ms at best
@@ -465,11 +474,10 @@ def _backward_passes(Sigma0: np.ndarray, filter_runs: Sequence[FilterRun], gains
     lasts = [len(g) - 1 for g in gains]
     covs = [[] for _ in gains]  # each recursion's run covariances, backward
     settled_into = [None] * len(gains)  # the length of the run a recursion settled into
-    start = {}  # recursion -> (k, Sigma_{k+1}^s) where its steps k <= last start
+    # recursion -> (k, Sigma_{k+1}^s) where its steps k <= last start
+    start = {b: (K - 1, fr.filtered_covs[-1]) for b, (fr, last) in enumerate(zip(filter_runs, lasts)) if last == K - 1}
 
     live = [b for b, last in enumerate(lasts) if last < K - 1]
-    for b in set(range(len(gains))) - set(live):
-        start[b] = (K - 1, filter_runs[b].filtered_covs[-1])
     if live:
         last = np.array([lasts[b] for b in live])
         G = np.array([gains[b][-1] for b in live])
@@ -503,8 +511,8 @@ def _backward_passes(Sigma0: np.ndarray, filter_runs: Sequence[FilterRun], gains
     gain_table = np.concatenate(gains)
     pred_table = np.concatenate([fr.predicted_covs for fr in filter_runs])
     prior_table = np.concatenate([m for fr, last in zip(filter_runs, lasts) for m in (Sigma0[None], fr.filtered_covs[:last])])
-    initial = [cov_b if k_b < 0 else None for k_b, cov_b in (start[b] for b in range(len(gains)))]
-    live = [b for b in range(len(gains)) if initial[b] is None]
+    initial = {b: cov_b for b, (k_b, cov_b) in start.items() if k_b < 0}  # Sigma_0^s
+    live = [b for b in range(len(gains)) if b not in initial]
     k = np.array([start[b][0] for b in live], dtype=np.intp)
     rows = starts[live] + k
     cov = np.array([start[b][1] for b in live])
@@ -529,7 +537,7 @@ def _backward_passes(Sigma0: np.ndarray, filter_runs: Sequence[FilterRun], gains
         k0 = start[b][0]
         head = len(covs[b]) - (k0 + 1)  # the runs of the steps k > last, the settled one included
         which = [last] * head + list(range(k0, -1, -1))
-        lengths = [1] * head + [1] * (k0 + 1)
+        lengths = [1] * len(covs[b])
         if settled_into[b] is not None:
             lengths[head - 1] = settled_into[b]
         passes.append((covs[b], which, lengths, initial[b]))
