@@ -314,6 +314,8 @@ def _cmd_grid(args) -> int:
 
 def _cmd_curve(args) -> int:
     shape = SHAPE_FIELD[args.family]
+    if shape is None and args.shape is not None:
+        raise ConfigError(f"{args.family} takes gamma only, got a shape of {args.shape}")
     try:
         potential = Potential(args.family, gamma=args.gamma, **({shape: args.shape} if shape else {}))
     except ValueError as err:

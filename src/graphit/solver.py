@@ -248,6 +248,10 @@ def douglas_rachford(
     return _report(x, n, residual, converged, stats, Q, Omega, A_init, q_factors)
 
 
+# The arrays of a `_QuadraticProx` that differ between the solves of one Q.
+_PER_SOLVE = ("_W", "_Wt", "_G", "_B")
+
+
 class _StackedProx:
     """Several `_QuadraticProx` of one Q, applied to a stack of points, one per slice.
 
@@ -273,10 +277,6 @@ class _StackedProx:
         inner += self._B
         np.matmul(self._U, inner, out=self._left)
         return np.matmul(self._left, self._Wt, out=out)
-
-
-# The arrays of a `_QuadraticProx` that differ between the solves of one Q.
-_PER_SOLVE = ("_W", "_Wt", "_G", "_B")
 
 
 def _norms(V: np.ndarray) -> np.ndarray:

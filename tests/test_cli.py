@@ -605,6 +605,7 @@ class TestMainCommand:
             ("target_norm = 0\n", ["bench", "{cfg}"]),
             ("", ["export-dot", "{matrix}", "-1"]),
             ("", ["bench", "{cfg}", "--jobs", "0"]),
+            ("", ["curve", "l1", "1.0", "0.5"]),
         ],
         ids=[
             "curve-points",
@@ -614,6 +615,7 @@ class TestMainCommand:
             "config-target-norm",
             "export-dot-threshold",
             "bench-jobs",
+            "curve-shape-for-l1",
         ],
     )
     def test_out_of_range_is_config_error(self, tmp_path, capsys, scenario_extra, argv):
