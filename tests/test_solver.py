@@ -256,10 +256,10 @@ def kkt_residual(A, stats, Q, Omega):
 def kkt_tolerance(report, stats, Q, cfg):
     """10 (L + 1/tau) tol (1 + ||A||_F) / min(1, relaxation), L = lambda_max(Phi) / lambda_min(Q), tau = step / L.
 
-    With the driver z and the quadratic's prox y of the last sweep, x = prox_l1(z)
+    With DR's iterate z and the quadratic's prox y of the last sweep, x = prox_l1(z)
     makes (z - x) / tau a subgradient of the l1 term at x, and then
     grad q(x) + (z - x) / tau = grad q(x) - grad q(y) + (x - y) / tau, whose norm is
-    at most (L + 1/tau) ||x - y||. The driver moves by relaxation (y - x) per sweep;
+    at most (L + 1/tau) ||x - y||. z moves by relaxation (y - x) per sweep;
     the stop test bounds the move of x by tol (1 + ||x||). The factor 10 covers the
     ratio of the two moves, at most 5.4 over 20,000 random problems with step <= 1.
     """
@@ -313,12 +313,12 @@ def test_douglas_rachford_minimizer_satisfies_kkt(batched, batch):
 
 @pytest.mark.xfail(
     strict=True, raises=AssertionError,
-    reason="DR stops once the l1 prox repeats its iterate, however far the driver is from done",
+    reason="DR stops once the l1 prox repeats its output, however far its iterate z is from done",
 )
 def test_douglas_rachford_can_stop_on_a_stalled_iterate():
-    """The stop test compares consecutive l1-prox outputs, which stay put while the driver crosses the dead zone.
+    """The stop test compares consecutive l1-prox outputs, which stay put while z crosses the dead zone.
 
-    Here the minimizer is 0.6, but with relaxation 0.05 the driver creeps from 0
+    Here the minimizer is 0.6, but with relaxation 0.05 the iterate z creeps from 0
     to 0.025 in one sweep, inside the threshold 0.4, so x = 0 twice and DR reports
     convergence after 2 sweeps at 0, where the gradient -1 exceeds the weight 0.4.
     The same happens with part of the entries when step > 1 widens the dead zone.
