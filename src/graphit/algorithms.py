@@ -13,10 +13,12 @@ The tracked objective is penalty(A) plus the filtering negative
 log-likelihood; by construction of the bounds it never increases along the
 iterates.
 
-``graphit_lockstep`` runs several graphit fits that share their data and
-start, one per potential, with each outer iteration's covariance passes and
-Douglas-Rachford sweeps stacked over the fits still running. Each fit's
-result is bit for bit the one ``graphit`` returns; a grid search is its use.
+One loop, `_mm_loop`, runs every fit, with the M-step as a callable; a lone
+fit is a batch of one. ``graphit_lockstep`` runs several graphit fits that
+share their data and start, one per potential, with each outer iteration's
+covariance passes and Douglas-Rachford sweeps stacked over the fits still
+running; a grid search is its use. This module alone picks the 2-D kernels,
+for a batch down to one fit; each fit's result has the same bits either way.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .em_stats import EMStats, compute_stats
-from .exceptions import SingularPredictiveCovarianceError, SingularStatisticsError, attempt
+from .exceptions import NonFiniteError, SingularPredictiveCovarianceError, SingularStatisticsError, attempt
 from .kalman import kalman_filter, kalman_filter_lockstep, rts_smoother, rts_smoother_lockstep
 from .model import ModelParams, spectral_norm
 from .penalties import Potential, penalty_value, weight_matrix
@@ -128,25 +130,59 @@ class _Fit:
         )
 
 
-def _outer_loop(observations, params_rest, A0, cfg, minimize_step):
-    """Shared majorization-minimization loop.
+def _mm_loop(observations, params_rest, fits: Sequence[_Fit], minimize) -> list:
+    """The majorization-minimization loop of fits that share their data, in lockstep.
 
-    `minimize_step(stats, A_prev, i)` produces the next iterate from the
-    bound statistics; everything else (stopping, tracing) is common.
+    Outer iteration i runs the E-step of each fit still running, then the
+    M-step `minimize(batch, i)`: for the (stats, fit) of each fit whose E-step
+    succeeded, the next iterate or the error in `FIT_ERRORS` that ends the fit.
+    The covariance passes of several fits run stacked (`kalman_filter_lockstep`,
+    `rts_smoother_lockstep`), and those of one fit by the 2-D `kalman_filter`
+    and `rts_smoother`, which dispatch faster; each fit gets its lone bits
+    either way. Each entry is the EstimatorResult of its fit, or its error.
     """
-    fit = _Fit(A0, cfg)
-    for i in range(1, cfg.max_outer + 1):
-        params_i = dataclasses.replace(params_rest, A=fit.A)
-        try:
-            frun = kalman_filter(params_i, observations)
-            srun = rts_smoother(params_i, frun)
-        except SingularPredictiveCovarianceError as err:
-            raise _tagged(err, i) from err
-        stats = compute_stats(srun)
-        fit.record(frun.neg_log_lik)
-        if fit.advance(minimize_step(stats, fit.A, i), i):
-            break
-    return fit.result(params_rest, observations)
+    outcomes: list = [None] * len(fits)
+
+    def going(batch, results: list) -> dict:
+        """{fit: result} of the fits in `batch` whose step succeeded; each error ends its fit."""
+        kept = {}
+        for j, result in zip(batch, results):
+            if isinstance(result, Exception):
+                outcomes[j] = _tagged(result, i)
+            else:
+                kept[j] = result
+        return kept
+
+    live = range(len(fits))
+    i = 0
+    while live:
+        i += 1
+        params = {j: dataclasses.replace(params_rest, A=fits[j].A) for j in live}
+        if len(params) == 1:
+            [p] = params.values()
+            fruns = going(params, [attempt(kalman_filter, p, observations)])
+            sruns = going(fruns, [attempt(rts_smoother, p, frun) for frun in fruns.values()])
+        else:
+            fruns = going(params, kalman_filter_lockstep(list(params.values()), observations))
+            sruns = going(fruns, rts_smoother_lockstep([params[j] for j in fruns], list(fruns.values())))
+        batch = {}
+        for j, srun in sruns.items():
+            batch[j] = (compute_stats(srun), fits[j])
+            fits[j].record(fruns[j].neg_log_lik)
+        steps = going(batch, minimize(list(batch.values()), i)) if batch else {}
+        live = [j for j, A_new in steps.items() if not fits[j].advance(A_new, i)]
+    return [
+        outcome if outcome is not None else attempt(fit.result, params_rest, observations)
+        for fit, outcome in zip(fits, outcomes)
+    ]
+
+
+def _alone(outcomes: list) -> EstimatorResult:
+    """The result of a batch of one fit; its error is raised."""
+    [outcome] = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def graphit(
@@ -158,17 +194,7 @@ def graphit(
     """Reweighted-l1 MM estimator for any potential in the family."""
     if cfg.potential is None:
         raise ValueError("graphit requires a potential; use mlem for the unpenalized estimator")
-    Q = params_rest.Q
-    q_factors = None
-
-    def step(stats: EMStats, A_prev: np.ndarray, _i: int) -> np.ndarray:
-        nonlocal q_factors
-        if q_factors is None:  # once per fit, after the first filter pass has checked Q
-            q_factors = QFactors.of(Q)
-        Omega = weight_matrix(cfg.potential, A_prev)
-        return douglas_rachford(stats, Q, Omega, A_prev, cfg.dr, q_factors).minimizer
-
-    return _outer_loop(observations, params_rest, A0, cfg, step)
+    return _alone(graphit_lockstep(observations, params_rest, A0, cfg, [cfg.potential]))
 
 
 def graphem(
@@ -192,62 +218,40 @@ def graphit_lockstep(
 ) -> list:
     """`graphit` from A0 at each potential (cfg's own is ignored), with the fits in lockstep.
 
-    Each outer iteration makes one covariance pass of the filter, one of the
-    smoother and one Douglas-Rachford loop over the fits still running
-    (`kalman_filter_lockstep`, `rts_smoother_lockstep`,
-    `douglas_rachford_lockstep`); the rest runs per fit as in `graphit`, so
-    each fit's result is bit for bit the one `graphit` returns. A fit leaves
-    when it stops or fails. Each entry is the EstimatorResult of its fit, or
-    the error in `FIT_ERRORS` that `graphit` raises there.
+    Each M-step runs one Douglas-Rachford loop over the fits still running
+    (`douglas_rachford` for one), with Q factored once, after the first filter
+    pass has checked it. Each entry is the EstimatorResult of its fit, bit for
+    bit the one `graphit` returns, or the error that `graphit` raises there.
     """
-    fits = [_Fit(A0, dataclasses.replace(cfg, potential=potential)) for potential in potentials]
-    outcomes: list = [None] * len(fits)
     Q = params_rest.Q
     q_factors = None
 
-    def going(batch: Sequence[int], results: list) -> dict:
-        """{fit: result} of the fits in `batch` whose step succeeded; each error ends its fit."""
-        kept = {}
-        for j, result in zip(batch, results):
-            if isinstance(result, Exception):
-                outcomes[j] = _tagged(result, i)
-            else:
-                kept[j] = result
-        return kept
-
-    live = range(len(fits))
-    i = 0
-    while live:
-        i += 1
-        params = {j: dataclasses.replace(params_rest, A=fits[j].A) for j in live}
-        fruns = going(params, kalman_filter_lockstep(list(params.values()), observations))
-        sruns = going(fruns, rts_smoother_lockstep([params[j] for j in fruns], list(fruns.values())))
-        problems = {}
-        for j, srun in sruns.items():
-            fit = fits[j]
-            stats = compute_stats(srun)
-            fit.record(fruns[j].neg_log_lik)
-            problems[j] = (stats, weight_matrix(fit.cfg.potential, fit.A), fit.A)
-        if problems and q_factors is None:  # once, after the first filter pass has checked Q
+    def minimize(batch: list, _i: int) -> list:
+        nonlocal q_factors
+        problems = [(stats, weight_matrix(fit.cfg.potential, fit.A), fit.A) for stats, fit in batch]
+        if q_factors is None:
             q_factors = attempt(QFactors.of, Q)
         if isinstance(q_factors, Exception):
-            reports = going(problems, [q_factors] * len(problems))
+            return [q_factors] * len(problems)
+        if len(problems) == 1:
+            [(stats, Omega, A_prev)] = problems
+            reports = [attempt(douglas_rachford, stats, Q, Omega, A_prev, cfg.dr, q_factors)]
         else:
-            reports = going(problems, douglas_rachford_lockstep(list(problems.values()), Q, cfg.dr, q_factors))
-        live = [j for j, report in reports.items() if not fits[j].advance(report.minimizer, i)]
-    return [
-        outcome if outcome is not None else attempt(fit.result, params_rest, observations)
-        for fit, outcome in zip(fits, outcomes)
-    ]
+            reports = douglas_rachford_lockstep(problems, Q, cfg.dr, q_factors)
+        return [report if isinstance(report, Exception) else report.minimizer for report in reports]
+
+    fits = [_Fit(A0, dataclasses.replace(cfg, potential=potential)) for potential in potentials]
+    return _mm_loop(observations, params_rest, fits, minimize)
 
 
 def mlem_update(stats: EMStats, iteration: int = 1) -> np.ndarray:
     """Closed-form unpenalized update Delta Phi^{-1} via a Cholesky solve."""
-    try:
-        factor = cho_factor(stats.Phi, lower=True)
-    except np.linalg.LinAlgError:
-        raise SingularStatisticsError(iteration) from None
-    return cho_solve(factor, stats.Delta.T).T
+    if not (np.isfinite(stats.Phi).all() and np.isfinite(stats.Delta).all()):
+        raise NonFiniteError(f"second-moment statistics not finite at outer iteration {iteration}")
+    factor, info = dpotrf(stats.Phi, lower=1)
+    if info:
+        raise SingularStatisticsError(iteration)
+    return dpotrs(factor, stats.Delta.T, lower=1)[0].T
 
 
 def mlem(
@@ -258,11 +262,11 @@ def mlem(
 ) -> EstimatorResult:
     """Unpenalized maximum-likelihood estimator with closed-form updates."""
 
-    def step(stats: EMStats, _A_prev: np.ndarray, i: int) -> np.ndarray:
-        return mlem_update(stats, i)
+    def minimize(batch: list, i: int) -> list:
+        return [attempt(mlem_update, stats, i) for stats, _ in batch]
 
-    cfg = dataclasses.replace(cfg, potential=None)
-    return _outer_loop(observations, params_rest, A0, cfg, step)
+    fit = _Fit(A0, dataclasses.replace(cfg, potential=None))
+    return _alone(_mm_loop(observations, params_rest, [fit], minimize))
 
 
 def default_init(N_x: int) -> np.ndarray:

@@ -24,8 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
+from .exceptions import NonFiniteError
 from .kalman import SmootherRun
 
 
@@ -60,10 +62,14 @@ def q_quadratic(A: np.ndarray, stats: EMStats, Q: np.ndarray, Q_cholesky: tuple 
     """Quadratic transition term of the EM bound.
 
     Returns 1/2 tr(Q^{-1} (Psi - Delta A^T - A Delta^T + A Phi A^T)),
-    evaluated through a Cholesky solve against Q. A caller holding
+    evaluated through a Cholesky solve against Q by `dpotrs`, as `cho_solve`
+    makes it but without its wrapper's cost. A caller holding
     `Q_cholesky = cho_factor(Q, lower=True)` passes it to skip the factorization.
     """
     if Q_cholesky is None:
         Q_cholesky = cho_factor(Q, lower=True)
+    factor, lower = Q_cholesky
     inner = stats.Psi - stats.Delta @ A.T - A @ stats.Delta.T + A @ stats.Phi @ A.T
-    return 0.5 * float(np.trace(cho_solve(Q_cholesky, inner)))
+    if not np.isfinite(inner).all():
+        raise NonFiniteError("the quadratic term of the EM bound is not finite")
+    return 0.5 * float(np.trace(dpotrs(factor, inner, lower=lower)[0]))

@@ -58,12 +58,13 @@ the constant smoother gain serves, then step by step through the transient
 gains.
 
 Several models that differ in A only, as the fits of a grid search at one
-outer iteration, can share the covariance loops: `kalman_filter_lockstep` and
-`rts_smoother_lockstep` make each step of `_filter_passes` and
-`_backward_passes` once over the stack of the models still running, by the
-2-D step's operations, so each model gets the 2-D bits. The checks of the
-model and the rest of each pass run per model, through the same code as
-`kalman_filter` and `rts_smoother`. Single fits keep the 2-D loops, whose
+outer iteration, can share the covariance loops. `kalman_filter_lockstep`
+makes each step of the filter's covariance pass once over the stack of the
+models still running (`_filter_passes`); `rts_smoother_lockstep` does so over
+the smoother's settled stretch k > last, where every model is at the same
+step with one gain (`_backward_passes`), and runs the transient steps per
+model. Each stacked step makes the 2-D step's operations, so each model gets
+the 2-D bits. The caller keeps single fits on the 2-D functions, whose
 `ndarray.dot` calls dispatch faster than stacked `@`.
 
 At n_x = 8, K = 1000 (the `table2-8-4` data at `default_init(8)`) one
@@ -408,8 +409,6 @@ def kalman_filter_lockstep(params: Sequence[ModelParams], observations: np.ndarr
     (`_filter_passes`); the rest runs per set. Each entry is the FilterRun of
     its set, or the error in `FIT_ERRORS` that `kalman_filter` raises there.
     """
-    if len(params) == 1:  # the 2-D pass is the faster for one set
-        return [attempt(kalman_filter, params[0], observations)]
     ys = attempt(_observations, params[0], observations)
     if isinstance(ys, Exception):
         return [ys] * len(params)
@@ -430,8 +429,8 @@ def _smoother_gains(filter_run: FilterRun) -> np.ndarray:
     return np.array(gains)
 
 
-def _backward_pass(Sigma0: np.ndarray, filter_run: FilterRun, gains: np.ndarray) -> tuple:
-    """The smoother's covariance recursion, backward from k = K.
+def _backward_pass(Sigma0: np.ndarray, filter_run: FilterRun, gains: np.ndarray, k=None, cov=None) -> tuple:
+    """The smoother's covariance recursion, backward from step k (K - 1 by default) and cov = Sigma_{k+1}^s.
 
     Returns its runs of (Sigma_k^s, G_{k-1}) as three lists, backward: the
     covariances, the indices of the gains and the run lengths; then Sigma_0^s.
@@ -440,8 +439,8 @@ def _backward_pass(Sigma0: np.ndarray, filter_run: FilterRun, gains: np.ndarray)
     last = len(gains) - 1
     priors = [Sigma0, *fcovs[:last]]
     covs, which, lengths = [], [], []
-    cov = fcovs[-1]  # Sigma_K^s = Sigma_K
-    k = filter_run.horizon - 1
+    if k is None:
+        k, cov = filter_run.horizon - 1, fcovs[-1]  # Sigma_K^s = Sigma_K
     while k >= 0:
         i = min(k, last)
         G = gains[i]
@@ -460,45 +459,43 @@ def _backward_pass(Sigma0: np.ndarray, filter_run: FilterRun, gains: np.ndarray)
     return covs, which, lengths, cov
 
 
-def _backward_passes(Sigma0: np.ndarray, filter_runs: Sequence[FilterRun], gains: Sequence[np.ndarray]) -> list:
-    """`_backward_pass` of each of several filter runs of one horizon, in lockstep.
+def _backward_passes(params: Sequence[ModelParams], filter_runs: Sequence[FilterRun], gains: Sequence) -> list:
+    """`_backward_pass` of each filter run of one horizon at its params, the settled stretches in lockstep.
 
-    Each round makes one step of every recursion still running by the 2-D
-    step's products over the stack, so each slice is the 2-D value (see
-    `_filter_passes`). The rounds come in two stretches. Over the steps
-    k > last, where G_last serves, every recursion is at the same k, and
-    leaves once it settles or reaches last. Over the steps k <= last, each
-    takes G_k, P_{k+1|k} and Sigma_k at its own k, down to 0.
+    Over the steps k > last, where G_last, P_{last+1|last} and Sigma_last
+    serve, every recursion is at the same k. Each round makes one step of
+    every recursion still there by the 2-D step's products over the stack, so
+    each slice is the 2-D value (see `_filter_passes`). A recursion leaves
+    once it settles or reaches last, and `_backward_pass` runs its transient
+    steps k <= last alone.
     """
-    K = filter_runs[0].horizon
     lasts = [len(g) - 1 for g in gains]
-    covs = [[] for _ in gains]  # each recursion's run covariances, backward
-    settled_into = [None] * len(gains)  # the length of the run a recursion settled into
-    # recursion -> (k, Sigma_{k+1}^s) where its steps k <= last start
-    start = {b: (K - 1, fr.filtered_covs[-1]) for b, (fr, last) in enumerate(zip(filter_runs, lasts)) if last == K - 1}
-
-    live = [b for b, last in enumerate(lasts) if last < K - 1]
+    heads = [([], []) for _ in gains]  # each recursion's runs over k > last, backward: covariances, lengths
+    # (k, Sigma_{k+1}^s) where each recursion's steps k <= last start
+    start = [(fr.horizon - 1, fr.filtered_covs[-1]) for fr in filter_runs]
+    live = [b for b, (k, _) in enumerate(start) if lasts[b] < k]
     if live:
+        k = start[live[0]][0]
         last = np.array([lasts[b] for b in live])
         G = np.array([gains[b][-1] for b in live])
         pred = np.array([filter_runs[b].predicted_covs[-1] for b in live])
-        prior = np.array([filter_runs[b].filtered_covs[lasts[b] - 1] if lasts[b] else Sigma0 for b in live])
+        prior = np.array([filter_runs[b].filtered_covs[lasts[b] - 1] if lasts[b] else params[b].Sigma0 for b in live])
         tol = SETTLE_TOL * np.abs(pred).max(axis=(1, 2))
         cov = np.array([filter_runs[b].filtered_covs[-1] for b in live])
-    k = K - 1
     while live:
         prev = _sym_each(prior + G @ (cov - pred) @ G.transpose(0, 2, 1))
         settled = np.abs(prev - cov).max(axis=(1, 2)) <= tol
         for b, cov_b in zip(live, cov):
-            covs[b].append(cov_b)
+            heads[b][0].append(cov_b)
+            heads[b][1].append(1)
         leave = settled | (last == k - 1)
         if leave.any():
             for j in np.flatnonzero(leave):
                 b = live[j]
                 if settled[j]:
                     # Sigma_j^s = prev for j = last..k; steps last+1..k pair it with G_last.
-                    covs[b].append(prev[j])
-                    settled_into[b] = k - lasts[b]
+                    heads[b][0].append(prev[j])
+                    heads[b][1].append(k - lasts[b])
                 start[b] = (lasts[b] - 1 if settled[j] else k - 1, prev[j])
             stay = ~leave
             live = [b for b, kept in zip(live, stay) if kept]
@@ -506,41 +503,10 @@ def _backward_passes(Sigma0: np.ndarray, filter_runs: Sequence[FilterRun], gains
         cov = prev
         k -= 1
 
-    # Entry i of recursion b is row starts[b] + i of each table.
-    starts = np.cumsum([0] + [last + 1 for last in lasts[:-1]])
-    gain_table = np.concatenate(gains)
-    pred_table = np.concatenate([fr.predicted_covs for fr in filter_runs])
-    prior_table = np.concatenate([m for fr, last in zip(filter_runs, lasts) for m in (Sigma0[None], fr.filtered_covs[:last])])
-    initial = {b: cov_b for b, (k_b, cov_b) in start.items() if k_b < 0}  # Sigma_0^s
-    live = [b for b in range(len(gains)) if b not in initial]
-    k = np.array([start[b][0] for b in live], dtype=np.intp)
-    rows = starts[live] + k
-    cov = np.array([start[b][1] for b in live])
-    while live:
-        G = gain_table[rows]
-        prev = _sym_each(prior_table[rows] + G @ (cov - pred_table[rows]) @ G.transpose(0, 2, 1))
-        for b, cov_b in zip(live, cov):
-            covs[b].append(cov_b)
-        k -= 1
-        rows -= 1
-        done = k < 0
-        if done.any():
-            for j in np.flatnonzero(done):
-                initial[live[j]] = prev[j]
-            stay = ~done
-            live = [b for b, kept in zip(live, stay) if kept]
-            k, rows, prev = k[stay], rows[stay], prev[stay]
-        cov = prev
-
     passes = []
-    for b, last in enumerate(lasts):
-        k0 = start[b][0]
-        head = len(covs[b]) - (k0 + 1)  # the runs of the steps k > last, the settled one included
-        which = [last] * head + list(range(k0, -1, -1))
-        lengths = [1] * len(covs[b])
-        if settled_into[b] is not None:
-            lengths[head - 1] = settled_into[b]
-        passes.append((covs[b], which, lengths, initial[b]))
+    for p, fr, g, (head_covs, head_lengths), (k_b, cov_b) in zip(params, filter_runs, gains, heads, start):
+        covs, which, lengths, initial = _backward_pass(p.Sigma0, fr, g, k_b, cov_b)
+        passes.append((head_covs + covs, [len(g) - 1] * len(head_covs) + which, head_lengths + lengths, initial))
     return passes
 
 
@@ -606,10 +572,7 @@ def rts_smoother_lockstep(params: Sequence[ModelParams], filter_runs: Sequence[F
     """
     runs = [attempt(_smoother_gains, fr) for fr in filter_runs]
     ok = [j for j, gains in enumerate(runs) if not isinstance(gains, Exception)]
-    if len(ok) > 1:
-        passes = _backward_passes(params[0].Sigma0, [filter_runs[j] for j in ok], [runs[j] for j in ok])
-    else:  # the 2-D pass is the faster for one
-        passes = [_backward_pass(params[j].Sigma0, filter_runs[j], runs[j]) for j in ok]
+    passes = _backward_passes([params[j] for j in ok], [filter_runs[j] for j in ok], [runs[j] for j in ok])
     for j, backward in zip(ok, passes):
         runs[j] = _smoother_run(params[j], filter_runs[j], runs[j], backward)
     return runs

@@ -20,6 +20,8 @@ n = 32 on a 2-core x86-64 VM with one BLAS thread.
 `douglas_rachford_lockstep` solves several problems with one Q at once: each
 sweep runs once over the stack of the problems still iterating, and each
 problem stops by its own test, after as many sweeps as it would take alone.
+It stacks even one problem; the caller picks `douglas_rachford` for a lone
+problem, whose `np.dot` calls dispatch faster than stacked `np.matmul`.
 """
 
 from __future__ import annotations
@@ -305,9 +307,6 @@ def douglas_rachford_lockstep(
     entry is the SolverReport of its problem, or the error in `FIT_ERRORS`
     that `douglas_rachford` raises there.
     """
-    if len(problems) == 1:  # the 2-D loop is the faster for one
-        stats, Omega, A_init = problems[0]
-        return [attempt(douglas_rachford, stats, Q, Omega, A_init, cfg, q_factors)]
     reports = [attempt(_setup, stats, Omega, cfg, q_factors) for stats, Omega, _ in problems]
     live = [j for j, setup in enumerate(reports) if not isinstance(setup, Exception)]
     if not live:

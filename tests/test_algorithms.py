@@ -1,15 +1,20 @@
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import graphit.algorithms as algorithms
 from graphit import (
     FAMILIES,
     DRConfig,
     EstimatorConfig,
     ModelParams,
+    NonFiniteError,
     NotPositiveDefiniteError,
     Potential,
     default_init,
@@ -188,6 +193,16 @@ class TestMLEM:
             mlem_update(stats, iteration=7)
         assert exc.value.iteration == 7
 
+    @pytest.mark.parametrize("field", ["Phi", "Delta"])
+    def test_nonfinite_statistics_raise_nonfinite_error(self, field):
+        """A NaN Phi factors without complaint (dpotrf reports info 0), so the update checks first."""
+        from graphit.algorithms import mlem_update
+
+        stats = EMStats(Psi=np.eye(2), Phi=np.eye(2), Delta=np.eye(2))
+        stats = dataclasses.replace(stats, **{field: np.array([[1.0, np.nan], [np.nan, 1.0]])})
+        with pytest.raises(NonFiniteError, match="outer iteration 4"):
+            mlem_update(stats, iteration=4)
+
     def test_mstep_zeroes_quadratic_gradient(self):
         _, params, traj = small_problem(seed=2)
         cfg = EstimatorConfig(max_outer=1, epsilon=1e-12)
@@ -281,3 +296,28 @@ def test_mm_descent_for_every_family(family, nx, support, K, sigma_q, gamma, sha
     cfg = EstimatorConfig(potential=Potential(family, gamma=gamma, **shapes), max_outer=15)
     trace = np.array(graphit(ys, params, default_init(nx), cfg).objective_trace)
     assert np.all(trace[1:] <= trace[:-1] + 1e-9 * np.abs(trace[:-1])), np.diff(trace)
+
+
+def test_traced_names_are_looked_up_in_algorithms(monkeypatch):
+    """A lone graphit fit and a lone mlem fit call every name the benchmark's tracer wraps on graphit.algorithms."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    calls = dict.fromkeys(tracing.ALGORITHMS_SPANS, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(algorithms, name, counted(name, getattr(algorithms, name)))
+    _, params, traj = small_problem()
+    cfg = EstimatorConfig(potential=LOGSUM, max_outer=3)
+    graphit(traj.observations, params, default_init(4), cfg)
+    mlem(traj.observations, params, default_init(4), cfg)
+    assert [name for name, count in calls.items() if count == 0] == []

@@ -154,6 +154,15 @@ class TestQQuadratic:
         stats = EMStats(Psi=np.array([[2.0]]), Phi=np.array([[1.0]]), Delta=np.array([[1.0]]))
         assert q_quadratic(np.array([[1.0]]), stats, np.array([[1.0]])) == pytest.approx(0.5)
 
+    def test_nonfinite_statistics_raise_nonfinite_error(self):
+        """`dpotrs` solves a NaN right-hand side without complaint, so q_quadratic checks first."""
+        from graphit import NonFiniteError
+        from graphit.em_stats import EMStats
+
+        stats = EMStats(Psi=np.array([[np.nan]]), Phi=np.array([[1.0]]), Delta=np.array([[1.0]]))
+        with pytest.raises(NonFiniteError):
+            q_quadratic(np.array([[1.0]]), stats, np.array([[1.0]]))
+
     def test_gradient_vanishes_at_unpenalized_minimizer(self):
         rng = np.random.default_rng(2)
         params = random_stable_params(rng, nx=3, ny=3)

@@ -93,7 +93,7 @@ SMOOTHER_FIELDS = ("smoothed_means", "initial_cov", "smoothed_covs", "gains", "r
 
 
 @given(
-    n_x=st.integers(1, 8), n_y=st.integers(1, 8), K=st.integers(1, 80), batch=st.integers(2, 6),
+    n_x=st.integers(1, 8), n_y=st.integers(1, 8), K=st.integers(1, 80), batch=st.integers(1, 6),
     q_scale=st.sampled_from([1.0, 1e-3, 0.0]), seed=seeds,
 )
 def test_lockstep_filter_and_smoother_match_lone_passes(n_x, n_y, K, batch, q_scale, seed):
@@ -118,7 +118,7 @@ def test_lockstep_filter_and_smoother_match_lone_passes(n_x, n_y, K, batch, q_sc
                 assert outcome_bytes(smoothers[j], SMOOTHER_FIELDS) == outcome_bytes(lone_smoother, SMOOTHER_FIELDS)
 
 
-@given(n_x=st.integers(1, 8), n_y=st.integers(1, 8), K=st.integers(1, 40), batch=st.integers(2, 6), seed=seeds)
+@given(n_x=st.integers(1, 8), n_y=st.integers(1, 8), K=st.integers(1, 40), batch=st.integers(1, 6), seed=seeds)
 def test_lockstep_factors_are_dpotrf_per_slice(n_x, n_y, K, batch, seed):
     """The stacked filter pass factors each S_k by `dpotrf` alone, as the 2-D pass does.
 
@@ -140,7 +140,7 @@ def test_lockstep_factors_are_dpotrf_per_slice(n_x, n_y, K, batch, seed):
 def dr_batches(draw):
     """A batch of weighted-l1 problems with one Q, and a DRConfig; n in 1..8."""
     n = draw(st.integers(1, 8))
-    batch = draw(st.integers(2, 6))
+    batch = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(seeds))
     Q = random_spd(rng, n, scale=1.0 / n)
     problems = []
@@ -221,17 +221,25 @@ def test_graphit_lockstep_matches_lone_fits(n_x, K, seed, data, stage, error):
         return results
 
     def lockstep_fits(monkeypatch):
+        """The results, and each round's DR iteration counts, by either solver the round calls."""
         rounds = []
-        lockstep = algorithms.douglas_rachford_lockstep
+        lockstep, douglas = algorithms.douglas_rachford_lockstep, algorithms.douglas_rachford
 
-        def counted(*args):
+        def counted_lockstep(*args):
             reports = lockstep(*args)
             rounds.append([r.iterations for r in reports])
             return reports
 
-        monkeypatch.setattr(algorithms, "douglas_rachford_lockstep", counted)
+        def counted(*args):
+            report = douglas(*args)
+            rounds.append([report.iterations])
+            return report
+
+        monkeypatch.setattr(algorithms, "douglas_rachford_lockstep", counted_lockstep)
+        monkeypatch.setattr(algorithms, "douglas_rachford", counted)
         results = graphit_lockstep(observations, params, A0, cfg, points)
         monkeypatch.setattr(algorithms, "douglas_rachford_lockstep", lockstep)
+        monkeypatch.setattr(algorithms, "douglas_rachford", douglas)
         return results, rounds
 
     # The E-step of outer iteration f runs at iterate f - 1 (A0 for f = 1); a fit whose
@@ -274,5 +282,6 @@ def test_graphit_lockstep_matches_lone_fits(n_x, K, seed, data, stage, error):
         assert (result.outer_iterations, result.stopped_by) == (expected.outer_iterations, expected.stopped_by)
         assert [A.tobytes() for A in result.iterates] == [A.tobytes() for A in expected.iterates]
     # Outer iteration i solves one DR problem per fit that reached it, in grid order.
+    assert len(rounds) == max(len(calls) for _, calls in lone)
     for i, iterations in enumerate(rounds):
         assert iterations == [calls[i] for _, calls in lone if len(calls) > i]
