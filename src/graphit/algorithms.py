@@ -16,7 +16,7 @@ iterates.
 One loop, `_mm_loop`, runs every fit, with the M-step as a callable; a lone
 fit is a batch of one. ``graphit_lockstep`` runs several graphit fits that
 share their data and start, one per potential, with each outer iteration's
-covariance passes and Douglas-Rachford sweeps stacked over the fits still
+filter covariances and Douglas-Rachford sweeps stacked over the fits still
 running; a grid search is its use. This module alone picks the 2-D kernels,
 for a batch down to one fit; each fit's result has the same bits either way.
 """
@@ -33,7 +33,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .em_stats import EMStats, compute_stats
 from .exceptions import NonFiniteError, SingularPredictiveCovarianceError, SingularStatisticsError, attempt
-from .kalman import kalman_filter, kalman_filter_lockstep, rts_smoother, rts_smoother_lockstep
+from .kalman import kalman_filter, kalman_filter_lockstep, rts_smoother
 from .model import ModelParams, spectral_norm
 from .penalties import Potential, penalty_value, weight_matrix
 from .solver import DRConfig, QFactors, douglas_rachford, douglas_rachford_lockstep
@@ -136,10 +136,10 @@ def _mm_loop(observations, params_rest, fits: Sequence[_Fit], minimize) -> list:
     Outer iteration i runs the E-step of each fit still running, then the
     M-step `minimize(batch, i)`: for the (stats, fit) of each fit whose E-step
     succeeded, the next iterate or the error in `FIT_ERRORS` that ends the fit.
-    The covariance passes of several fits run stacked (`kalman_filter_lockstep`,
-    `rts_smoother_lockstep`), and those of one fit by the 2-D `kalman_filter`
-    and `rts_smoother`, which dispatch faster; each fit gets its lone bits
-    either way. Each entry is the EstimatorResult of its fit, or its error.
+    The filter covariance passes of several fits run stacked
+    (`kalman_filter_lockstep`), and that of one fit by the 2-D `kalman_filter`,
+    which dispatches faster; the smoother runs per fit. Each fit gets its lone
+    bits either way. Each entry is the EstimatorResult of its fit, or its error.
     """
     outcomes: list = [None] * len(fits)
 
@@ -161,10 +161,9 @@ def _mm_loop(observations, params_rest, fits: Sequence[_Fit], minimize) -> list:
         if len(params) == 1:
             [p] = params.values()
             fruns = going(params, [attempt(kalman_filter, p, observations)])
-            sruns = going(fruns, [attempt(rts_smoother, p, frun) for frun in fruns.values()])
         else:
             fruns = going(params, kalman_filter_lockstep(list(params.values()), observations))
-            sruns = going(fruns, rts_smoother_lockstep([params[j] for j in fruns], list(fruns.values())))
+        sruns = going(fruns, [attempt(rts_smoother, params[j], frun) for j, frun in fruns.items()])
         batch = {}
         for j, srun in sruns.items():
             batch[j] = (compute_stats(srun), fits[j])

@@ -16,8 +16,8 @@ at import, no call routed through another module. A grid of several points
 is fitted in lockstep by `graphit_lockstep`, which the tracer does not wrap,
 so it calls none of the traced estimator names: the tracer sees those fits
 only through the layer names that `graphit.algorithms` still calls for each
-fit (`compute_stats`, `weight_matrix`, `penalty_value`, `objective`), and,
-in the rounds with one fit left, `kalman_filter`, `rts_smoother` and
+fit (`rts_smoother`, `compute_stats`, `weight_matrix`, `penalty_value`,
+`objective`), and, in the rounds with one fit left, `kalman_filter` and
 `douglas_rachford`, outside any fit span.
 """
 

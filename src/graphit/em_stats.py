@@ -69,7 +69,9 @@ def q_quadratic(A: np.ndarray, stats: EMStats, Q: np.ndarray, Q_cholesky: tuple 
     if Q_cholesky is None:
         Q_cholesky = cho_factor(Q, lower=True)
     factor, lower = Q_cholesky
-    inner = stats.Psi - stats.Delta @ A.T - A @ stats.Delta.T + A @ stats.Phi @ A.T
+    # A Delta^T is (Delta A^T)^T bit for bit, and `ndarray.dot` makes `@`'s BLAS products.
+    cross = stats.Delta.dot(A.T)
+    inner = stats.Psi - cross - cross.T + A.dot(stats.Phi).dot(A.T)
     if not np.isfinite(inner).all():
         raise NonFiniteError("the quadratic term of the EM bound is not finite")
     return 0.5 * float(np.trace(dpotrs(factor, inner, lower=lower)[0]))

@@ -58,13 +58,13 @@ the constant smoother gain serves, then step by step through the transient
 gains.
 
 Several models that differ in A only, as the fits of a grid search at one
-outer iteration, can share the covariance loops. `kalman_filter_lockstep`
-makes each step of the filter's covariance pass once over the stack of the
-models still running (`_filter_passes`); `rts_smoother_lockstep` does so over
-the smoother's settled stretch k > last, where every model is at the same
-step with one gain (`_backward_passes`), and runs the transient steps per
-model. Each stacked step makes the 2-D step's operations, so each model gets
-the 2-D bits. The caller keeps single fits on the 2-D functions, whose
+outer iteration, can share the filter's covariance loop.
+`kalman_filter_lockstep` makes each step of that pass once over the stack of
+the models still running (`_filter_passes`). Each stacked step makes the 2-D
+step's operations, so each model gets the 2-D bits. The smoother runs per
+model: stacking its backward pass over the settled stretch saved about 30 to
+40 us per model and outer iteration on the grid configs, too little to see
+end to end. The caller keeps single fits on the 2-D `kalman_filter`, whose
 `ndarray.dot` calls dispatch faster than stacked `@`.
 
 At n_x = 8, K = 1000 (the `table2-8-4` data at `default_init(8)`) one
@@ -429,8 +429,8 @@ def _smoother_gains(filter_run: FilterRun) -> np.ndarray:
     return np.array(gains)
 
 
-def _backward_pass(Sigma0: np.ndarray, filter_run: FilterRun, gains: np.ndarray, k=None, cov=None) -> tuple:
-    """The smoother's covariance recursion, backward from step k (K - 1 by default) and cov = Sigma_{k+1}^s.
+def _backward_pass(Sigma0: np.ndarray, filter_run: FilterRun, gains: np.ndarray) -> tuple:
+    """The smoother's covariance recursion, backward from Sigma_K^s = Sigma_K.
 
     Returns its runs of (Sigma_k^s, G_{k-1}) as three lists, backward: the
     covariances, the indices of the gains and the run lengths; then Sigma_0^s.
@@ -438,9 +438,9 @@ def _backward_pass(Sigma0: np.ndarray, filter_run: FilterRun, gains: np.ndarray,
     fcovs, preds = filter_run.filtered_covs, filter_run.predicted_covs
     last = len(gains) - 1
     priors = [Sigma0, *fcovs[:last]]
+    tol = SETTLE_TOL * np.abs(preds[last]).max()  # `_settled`'s, as P_{last+1|last} serves every k > last
     covs, which, lengths = [], [], []
-    if k is None:
-        k, cov = filter_run.horizon - 1, fcovs[-1]  # Sigma_K^s = Sigma_K
+    k, cov = filter_run.horizon - 1, fcovs[-1]
     while k >= 0:
         i = min(k, last)
         G = gains[i]
@@ -448,7 +448,7 @@ def _backward_pass(Sigma0: np.ndarray, filter_run: FilterRun, gains: np.ndarray,
         covs.append(cov)
         which.append(i)
         lengths.append(1)
-        if k > last and _settled(prev, cov, preds[last]):
+        if k > last and np.abs(prev - cov).max() <= tol:
             # Sigma_j^s = prev for j = last..k; steps last+1..k pair it with G_last.
             covs.append(prev)
             which.append(last)
@@ -457,57 +457,6 @@ def _backward_pass(Sigma0: np.ndarray, filter_run: FilterRun, gains: np.ndarray,
         cov = prev
         k -= 1
     return covs, which, lengths, cov
-
-
-def _backward_passes(params: Sequence[ModelParams], filter_runs: Sequence[FilterRun], gains: Sequence) -> list:
-    """`_backward_pass` of each filter run of one horizon at its params, the settled stretches in lockstep.
-
-    Over the steps k > last, where G_last, P_{last+1|last} and Sigma_last
-    serve, every recursion is at the same k. Each round makes one step of
-    every recursion still there by the 2-D step's products over the stack, so
-    each slice is the 2-D value (see `_filter_passes`). A recursion leaves
-    once it settles or reaches last, and `_backward_pass` runs its transient
-    steps k <= last alone.
-    """
-    lasts = [len(g) - 1 for g in gains]
-    heads = [([], []) for _ in gains]  # each recursion's runs over k > last, backward: covariances, lengths
-    # (k, Sigma_{k+1}^s) where each recursion's steps k <= last start
-    start = [(fr.horizon - 1, fr.filtered_covs[-1]) for fr in filter_runs]
-    live = [b for b, (k, _) in enumerate(start) if lasts[b] < k]
-    if live:
-        k = start[live[0]][0]
-        last = np.array([lasts[b] for b in live])
-        G = np.array([gains[b][-1] for b in live])
-        pred = np.array([filter_runs[b].predicted_covs[-1] for b in live])
-        prior = np.array([filter_runs[b].filtered_covs[lasts[b] - 1] if lasts[b] else params[b].Sigma0 for b in live])
-        tol = SETTLE_TOL * np.abs(pred).max(axis=(1, 2))
-        cov = np.array([filter_runs[b].filtered_covs[-1] for b in live])
-    while live:
-        prev = _sym_each(prior + G @ (cov - pred) @ G.transpose(0, 2, 1))
-        settled = np.abs(prev - cov).max(axis=(1, 2)) <= tol
-        for b, cov_b in zip(live, cov):
-            heads[b][0].append(cov_b)
-            heads[b][1].append(1)
-        leave = settled | (last == k - 1)
-        if leave.any():
-            for j in np.flatnonzero(leave):
-                b = live[j]
-                if settled[j]:
-                    # Sigma_j^s = prev for j = last..k; steps last+1..k pair it with G_last.
-                    heads[b][0].append(prev[j])
-                    heads[b][1].append(k - lasts[b])
-                start[b] = (lasts[b] - 1 if settled[j] else k - 1, prev[j])
-            stay = ~leave
-            live = [b for b, kept in zip(live, stay) if kept]
-            last, G, pred, prior, tol, prev = last[stay], G[stay], pred[stay], prior[stay], tol[stay], prev[stay]
-        cov = prev
-        k -= 1
-
-    passes = []
-    for p, fr, g, (head_covs, head_lengths), (k_b, cov_b) in zip(params, filter_runs, gains, heads, start):
-        covs, which, lengths, initial = _backward_pass(p.Sigma0, fr, g, k_b, cov_b)
-        passes.append((head_covs + covs, [len(g) - 1] * len(head_covs) + which, head_lengths + lengths, initial))
-    return passes
 
 
 def _smoother_run(params: ModelParams, filter_run: FilterRun, gains: np.ndarray, backward: tuple) -> SmootherRun:
@@ -561,18 +510,3 @@ def rts_smoother(params: ModelParams, filter_run: FilterRun) -> SmootherRun:
     gains = _smoother_gains(filter_run)
     return _smoother_run(params, filter_run, gains, _backward_pass(params.Sigma0, filter_run, gains))
 
-
-def rts_smoother_lockstep(params: Sequence[ModelParams], filter_runs: Sequence[FilterRun]) -> list:
-    """`rts_smoother` at each of several parameter sets that differ in A only.
-
-    One backward covariance pass runs over them all (`_backward_passes`). The
-    gain loop runs per set: each of its steps is one factorization and one
-    solve, which stay per slice anyway. Each entry is the SmootherRun of its
-    set, or the error in `FIT_ERRORS` that `rts_smoother` raises there.
-    """
-    runs = [attempt(_smoother_gains, fr) for fr in filter_runs]
-    ok = [j for j, gains in enumerate(runs) if not isinstance(gains, Exception)]
-    passes = _backward_passes([params[j] for j in ok], [filter_runs[j] for j in ok], [runs[j] for j in ok])
-    for j, backward in zip(ok, passes):
-        runs[j] = _smoother_run(params[j], filter_runs[j], runs[j], backward)
-    return runs

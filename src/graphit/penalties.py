@@ -18,6 +18,7 @@ l1           gamma |u| (constant weights; the convex special case)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ class Potential:
 
     gamma is the slope at 0+ for every family. lam shapes the non-convexity
     for log-sum/atan/mangasarian/mcp (smaller is closer to a 0-1 count).
-    scad instead takes a > 2; l1 takes gamma only.
+    scad instead takes a > 2; l1 takes gamma only. All are finite.
     """
 
     family: str
@@ -46,13 +47,13 @@ class Potential:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown potential family {self.family!r}; choose from {FAMILIES}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
         shape = SHAPE_FIELD[self.family]
         if shape is not None:
             value, floor = getattr(self, shape), _SHAPE_FLOOR[shape]
-            if value is None or not value > floor:
-                raise ValueError(f"{self.family} requires {shape} > {floor}, got {value}")
+            if value is None or not floor < value < math.inf:
+                raise ValueError(f"{self.family} requires a finite {shape} > {floor}, got {value}")
         for other in _SHAPE_FLOOR:
             if other != shape and getattr(self, other) is not None:
                 raise ValueError(f"{self.family} takes no {other}, got {other}={getattr(self, other)}")

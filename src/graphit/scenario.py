@@ -206,6 +206,9 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
 
     try:
         dr = DRConfig(**_present(est, _DR_KEYS, prefix="dr_"))
+    except ValueError as err:
+        raise ConfigError(f"invalid [estimator]: {err}") from None
+    try:
         scenario = Scenario(
             scenario_id=sec.get("id", path.stem), potentials=potentials, grids=grids, dr=dr, **values
         )

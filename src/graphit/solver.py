@@ -54,8 +54,8 @@ class DRConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError(f"step must be > 0, got {self.step}")
+        if not 0 < self.step < math.inf:
+            raise ValueError(f"step must be finite and > 0, got {self.step}")
         if not 0.0 < self.relaxation < 2.0:
             raise ValueError(f"relaxation must be in (0, 2), got {self.relaxation}")
         if not self.tol > 0:

@@ -606,6 +606,8 @@ class TestMainCommand:
             ("", ["export-dot", "{matrix}", "-1"]),
             ("", ["bench", "{cfg}", "--jobs", "0"]),
             ("", ["curve", "l1", "1.0", "0.5"]),
+            ("", ["curve", "l1", "inf"]),
+            ("", ["curve", "log-sum", "1.0", "inf"]),
         ],
         ids=[
             "curve-points",
@@ -616,6 +618,8 @@ class TestMainCommand:
             "export-dot-threshold",
             "bench-jobs",
             "curve-shape-for-l1",
+            "curve-infinite-gamma",
+            "curve-infinite-shape",
         ],
     )
     def test_out_of_range_is_config_error(self, tmp_path, capsys, scenario_extra, argv):
@@ -661,6 +665,15 @@ class TestMainCommand:
             ),
             (QUICK_CFG + "lambda = 5\n", ["'lambda'", "[potential.graphem]", "l1"]),
             (QUICK_CFG + "\n[grid.graphem]\ngamma = 1 10\na = 3\n", ["'a'", "[grid.graphem]", "l1"]),
+            (QUICK_CFG.replace("gamma = 10\nlambda", "gamma = inf\nlambda"), ["[potential.graphit]", "gamma", "inf"]),
+            (QUICK_CFG.replace("lambda = 0.1", "lambda = inf"), ["[potential.graphit]", "lam", "inf"]),
+            (QUICK_CFG.replace("graphem]\ngamma = 10", "graphem]\ngamma = inf"), ["[potential.graphem]", "gamma", "inf"]),
+            (
+                QUICK_CFG.replace("family = log-sum\ngamma = 10\nlambda = 0.1\n", "family = scad\ngamma = 10\na = inf\n"),
+                ["[potential.graphit]", "finite a", "inf"],
+            ),
+            (QUICK_CFG + "\n[grid.graphem]\ngamma = 10 inf\n", ["[grid.graphem]", "gamma", "inf"]),
+            (QUICK_CFG + "\n[estimator]\ndr_step = inf\n", ["[estimator]", "step", "inf"]),
         ],
         ids=[
             "unknown-scenario-key",
@@ -683,6 +696,12 @@ class TestMainCommand:
             "lambda-for-scad",
             "lambda-for-l1",
             "grid-a-for-l1",
+            "infinite-gamma",
+            "infinite-lambda",
+            "infinite-l1-gamma",
+            "infinite-scad-a",
+            "infinite-grid-gamma",
+            "infinite-dr-step",
         ],
     )
     def test_config_file_error_names_the_culprit(self, tmp_path, capsys, text, fragments):

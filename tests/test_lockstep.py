@@ -1,9 +1,9 @@
 """The lockstep passes against the 2-D passes they batch, bit for bit.
 
 `graphit grid` fits its points in lockstep (`graphit_lockstep`): one stacked
-covariance pass of the filter and of the smoother, and one stacked
-Douglas-Rachford loop, over the fits still running. Each point must get the
-bytes that its lone fit gets. The first three tests pin the hazards that this
+covariance pass of the filter and one stacked Douglas-Rachford loop over the
+fits still running, and the smoother per fit. Each point must get the bytes
+that its lone fit gets. The first three tests pin the hazards that this
 rests on; the others compare whole passes, solves and fits.
 """
 
@@ -89,15 +89,14 @@ def outcome_bytes(outcome, fields):
 
 FILTER_FIELDS = ("filtered_means", "filtered_covs", "residuals", "predictive_covs", "predicted_covs",
                  "cross_covs", "neg_log_lik", "steady_step")
-SMOOTHER_FIELDS = ("smoothed_means", "initial_cov", "smoothed_covs", "gains", "run_lengths")
 
 
 @given(
     n_x=st.integers(1, 8), n_y=st.integers(1, 8), K=st.integers(1, 80), batch=st.integers(1, 6),
     q_scale=st.sampled_from([1.0, 1e-3, 0.0]), seed=seeds,
 )
-def test_lockstep_filter_and_smoother_match_lone_passes(n_x, n_y, K, batch, q_scale, seed):
-    """Every field of each FilterRun and SmootherRun, or the error raised, is the lone pass's.
+def test_lockstep_filter_matches_lone_passes(n_x, n_y, K, batch, q_scale, seed):
+    """Every field of each FilterRun, or the error raised, is the lone pass's.
 
     Q = 0 makes covariances that never settle, so each pass runs to K; an
     overflowing A fails its point while the others go on.
@@ -108,14 +107,9 @@ def test_lockstep_filter_and_smoother_match_lone_passes(n_x, n_y, K, batch, q_sc
     params = [dataclasses.replace(base, A=A) for A in transition_matrices(rng, n_x, batch)]
     with np.errstate(over="ignore", invalid="ignore"):
         filters = kalman.kalman_filter_lockstep(params, observations)
-        ok = [j for j, run in enumerate(filters) if not isinstance(run, Exception)]
-        smoothers = dict(zip(ok, kalman.rts_smoother_lockstep([params[j] for j in ok], [filters[j] for j in ok])))
-        for j, p in enumerate(params):
+        for run, p in zip(filters, params):
             lone = attempt(kalman.kalman_filter, p, observations)
-            assert outcome_bytes(filters[j], FILTER_FIELDS) == outcome_bytes(lone, FILTER_FIELDS)
-            if j in smoothers:
-                lone_smoother = attempt(kalman.rts_smoother, p, lone)
-                assert outcome_bytes(smoothers[j], SMOOTHER_FIELDS) == outcome_bytes(lone_smoother, SMOOTHER_FIELDS)
+            assert outcome_bytes(run, FILTER_FIELDS) == outcome_bytes(lone, FILTER_FIELDS)
 
 
 @given(n_x=st.integers(1, 8), n_y=st.integers(1, 8), K=st.integers(1, 40), batch=st.integers(1, 6), seed=seeds)
@@ -191,10 +185,12 @@ def potentials(draw, count):
 def test_graphit_lockstep_matches_lone_fits(n_x, K, seed, data, stage, error):
     """Each point's A_hat bytes, objective trace, iterates, stop and per-call DR iterations are its lone fit's.
 
-    Points of every family run together. Some are made to fail in the E-step at
-    a drawn outer iteration (or in the final objective), by an error raised at
-    one of their iterates, in the filter or in the smoother; each gets the error
-    of its lone fit, and the others go on.
+    Points of every family run together. Each outer iteration calls
+    `rts_smoother` through `graphit.algorithms` once for each fit whose filter
+    succeeded, at the iterate its lone fit smooths there. Some points are made
+    to fail in the E-step at a drawn outer iteration (or in the final
+    objective), by an error raised at one of their iterates, in the filter or
+    in the smoother; each gets the error of its lone fit, and the others go on.
     """
     A_true = generate_sparse_A(n_x, n_x, 0.9, seed)
     params = ModelParams(A=A_true, H=np.eye(n_x), Q=0.01 * np.eye(n_x), R=0.01 * np.eye(n_x),
@@ -204,10 +200,20 @@ def test_graphit_lockstep_matches_lone_fits(n_x, K, seed, data, stage, error):
     cfg = EstimatorConfig(epsilon=1e-3, max_outer=12)
     A0 = default_init(n_x)
 
+    smoother = algorithms.rts_smoother
+
+    def smoothing(smoothed):
+        """`rts_smoother` that logs the bytes of each A it is called at."""
+        def logged(p, *args):
+            smoothed.append(p.A.tobytes())
+            return smoother(p, *args)
+        return logged
+
     def lone_fits(monkeypatch):
+        """For each point, its result, its DR iteration counts and the A of each smoother call."""
         results = []
         for point in points:
-            calls = []
+            calls, smoothed = [], []
             douglas = algorithms.douglas_rachford
 
             def counted(*args):
@@ -216,13 +222,16 @@ def test_graphit_lockstep_matches_lone_fits(n_x, K, seed, data, stage, error):
                 return report
 
             monkeypatch.setattr(algorithms, "douglas_rachford", counted)
-            results.append((attempt(graphit, observations, params, A0, dataclasses.replace(cfg, potential=point)), calls))
+            monkeypatch.setattr(algorithms, "rts_smoother", smoothing(smoothed))
+            result = attempt(graphit, observations, params, A0, dataclasses.replace(cfg, potential=point))
+            results.append((result, calls, smoothed))
             monkeypatch.setattr(algorithms, "douglas_rachford", douglas)
+            monkeypatch.setattr(algorithms, "rts_smoother", smoother)
         return results
 
     def lockstep_fits(monkeypatch):
-        """The results, and each round's DR iteration counts, by either solver the round calls."""
-        rounds = []
+        """The results, each round's DR iteration counts by either solver the round calls, and the smoother calls."""
+        rounds, smoothed = [], []
         lockstep, douglas = algorithms.douglas_rachford_lockstep, algorithms.douglas_rachford
 
         def counted_lockstep(*args):
@@ -237,17 +246,19 @@ def test_graphit_lockstep_matches_lone_fits(n_x, K, seed, data, stage, error):
 
         monkeypatch.setattr(algorithms, "douglas_rachford_lockstep", counted_lockstep)
         monkeypatch.setattr(algorithms, "douglas_rachford", counted)
+        monkeypatch.setattr(algorithms, "rts_smoother", smoothing(smoothed))
         results = graphit_lockstep(observations, params, A0, cfg, points)
         monkeypatch.setattr(algorithms, "douglas_rachford_lockstep", lockstep)
         monkeypatch.setattr(algorithms, "douglas_rachford", douglas)
-        return results, rounds
+        monkeypatch.setattr(algorithms, "rts_smoother", smoother)
+        return results, rounds, smoothed
 
     # The E-step of outer iteration f runs at iterate f - 1 (A0 for f = 1); a fit whose
     # E-step fails at f >= 2 fails mid-batch, and at its last iterate, in the final objective.
     with pytest.MonkeyPatch.context() as monkeypatch:
         clean = lone_fits(monkeypatch)
     failing_at = set()
-    for result, _ in clean:
+    for result, _, _ in clean:
         if data.draw(st.booleans()):
             f = data.draw(st.integers(2, result.outer_iterations + 1))
             failing_at.add(result.iterates[f - 2].tobytes())
@@ -271,9 +282,9 @@ def test_graphit_lockstep_matches_lone_fits(n_x, K, seed, data, stage, error):
         monkeypatch.setattr(kalman, "_filter_run", failing_filter)
         monkeypatch.setattr(kalman, "_smoother_gains", failing_gains)
         lone = lone_fits(monkeypatch)
-        results, rounds = lockstep_fits(monkeypatch)
+        results, rounds, smoothed = lockstep_fits(monkeypatch)
 
-    for (expected, calls), result in zip(lone, results):
+    for (expected, _, _), result in zip(lone, results):
         if isinstance(expected, Exception):
             assert (type(result), str(result)) == (type(expected), str(expected))
             continue
@@ -282,6 +293,9 @@ def test_graphit_lockstep_matches_lone_fits(n_x, K, seed, data, stage, error):
         assert (result.outer_iterations, result.stopped_by) == (expected.outer_iterations, expected.stopped_by)
         assert [A.tobytes() for A in result.iterates] == [A.tobytes() for A in expected.iterates]
     # Outer iteration i solves one DR problem per fit that reached it, in grid order.
-    assert len(rounds) == max(len(calls) for _, calls in lone)
+    assert len(rounds) == max(len(calls) for _, calls, _ in lone)
     for i, iterations in enumerate(rounds):
-        assert iterations == [calls[i] for _, calls in lone if len(calls) > i]
+        assert iterations == [calls[i] for _, calls, _ in lone if len(calls) > i]
+    # and smooths once per fit whose filter succeeded there, in grid order.
+    longest = max(len(lone_smoothed) for _, _, lone_smoothed in lone)
+    assert smoothed == [each[i] for i in range(longest) for _, _, each in lone if len(each) > i]

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphit import (
     FAMILIES,
@@ -33,6 +37,16 @@ class TestConstruction:
     def test_rejects_nonpositive_gamma(self, family):
         with pytest.raises(ValueError):
             sample_potential(family, gamma=0.0)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite_hyperparameters(self, family, value):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            sample_potential(family, gamma=value)
+        shape = SHAPE_FIELD[family]
+        if shape is not None:
+            with pytest.raises(ValueError, match=f"finite {shape}"):
+                Potential(family, gamma=1.0, **{shape: value})
 
     def test_rejects_missing_lambda(self):
         with pytest.raises(ValueError):
@@ -209,3 +223,41 @@ class TestTangentMajorization:
         v = rng.uniform(-4.0, 4.0, size=200)
         gap = rho_prime(p, v) * 0.0 + rho(p, v) - rho(p, v)
         assert np.max(np.abs(gap)) <= 1e-12
+
+
+@st.composite
+def potentials_in_range(draw):
+    """A potential of any family, with hyperparameters over and beyond the shipped grids' span."""
+    family = draw(st.sampled_from(FAMILIES))
+    shapes = {"lam": 10.0 ** draw(st.floats(-3.0, 1.0)), "a": draw(st.floats(2.0, 12.0, exclude_min=True))}
+    shape = SHAPE_FIELD[family]
+    return Potential(family, gamma=10.0 ** draw(st.floats(-2.0, 3.0)), **({shape: shapes[shape]} if shape else {}))
+
+
+signed_magnitudes = st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(-4.0, 2.0), st.sampled_from([-1.0, 1.0]))
+
+
+@settings(max_examples=400)
+@given(p=potentials_in_range(), u=signed_magnitudes, v=signed_magnitudes, near=st.booleans(),
+       offset=st.floats(-1e-3, 1e-3))
+def test_family_invariants_on_generated_hyperparameters(p, u, v, near, offset):
+    """rho(0) = 0, rho >= 0, rho' nonincreasing in |u| from rho'(0+) = gamma, and the tangent bound.
+
+    The tangent at u bounds rho at v (drawn apart from u, or near it) from
+    above up to rounding. log-sum forms log(|v| + lam) - log(lam), which
+    cancels for |v| << lam and loses bits relative to its value: with v near
+    u, the largest excess seen is about 2e-11 of the terms compared, so the
+    bound is checked to a relative 1e-9. log-sum's rho'(0+) is
+    gamma lam / lam, which may round gamma by an ulp.
+    """
+    if near:
+        v = u * (1.0 + offset)
+    assert rho(p, 0.0) == 0.0
+    assert rho_prime(p, 0.0) == pytest.approx(p.gamma, rel=1e-15, abs=0.0)
+    assert rho(p, u) >= 0.0 and rho(p, v) >= 0.0
+    inner, outer = sorted((u, v), key=abs)
+    assert rho_prime(p, inner) >= rho_prime(p, outer)
+    slope = rho_prime(p, u)
+    tangent = rho(p, u) + slope * (abs(v) - abs(u))
+    scale = max(rho(p, u), rho(p, v), slope * max(abs(u), abs(v)))
+    assert rho(p, v) - tangent <= 1e-9 * scale

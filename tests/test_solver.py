@@ -201,6 +201,8 @@ class TestDouglasRachford:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DRConfig(step=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            DRConfig(step=np.inf)
         with pytest.raises(ValueError):
             DRConfig(relaxation=2.0)
         with pytest.raises(ValueError):
