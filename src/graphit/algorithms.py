@@ -49,8 +49,8 @@ class EstimatorConfig:
     dr: DRConfig = field(default_factory=DRConfig)
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be > 0 and finite, got {self.epsilon}")
         if self.max_outer < 1:
             raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
 

@@ -93,10 +93,10 @@ def export_dot(A: np.ndarray, threshold: float = 1e-10) -> str:
 
     Entry (i, j) above threshold in magnitude becomes the edge j -> i
     (column index drives row index), labeled with the entry value. Nodes
-    are 1-based and always all present. A negative threshold is rejected.
+    are 1-based and always all present. The threshold must be finite and >= 0.
     """
-    if not threshold >= 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    if not 0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be >= 0 and finite, got {threshold}")
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")

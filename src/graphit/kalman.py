@@ -48,23 +48,21 @@ pass with stride s = 1, 2, 4, ... adds M^s b_{j-s} to every b_j, after which
 b_j sums the last 2s terms of its iterate. ceil(log2 n) vectorised products
 replace n interpreted steps.
 
-The smoother does the same. Its gains G_k = (P_{k+1|k}^{-1} A Sigma_k)^T
-change only up to the steady step, and it takes P_{k+1|k} and A Sigma_k
-from the filter, so its transient loop only factors and solves. Its
-backward covariance recursion stops once it settles in the constant-gain
-stretch, whose middle is one run of the settled value. Its means run
-backward on a reversed copy of their offsets: by doubling over the stretch
-the constant smoother gain serves, then step by step through the transient
-gains.
+The smoother, `rts_smoother`, is one pass in the same style. Its gains
+G_k = (P_{k+1|k}^{-1} A Sigma_k)^T change only up to the steady step, and it
+takes P_{k+1|k} and A Sigma_k from the filter, so its gain loop only factors
+and solves. Its backward covariance recursion stops once it settles in the
+constant-gain stretch, whose middle is one run of the settled value. Its
+means run backward on a reversed copy of their offsets: by doubling over the
+stretch the constant smoother gain serves, then step by step through the
+transient gains.
 
 Several models that differ in A only, as the fits of a grid search at one
 outer iteration, can share the filter's covariance loop.
 `kalman_filter_lockstep` makes each step of that pass once over the stack of
 the models still running (`_filter_passes`). Each stacked step makes the 2-D
 step's operations, so each model gets the 2-D bits. The smoother runs per
-model: stacking its backward pass over the settled stretch saved about 30 to
-40 us per model and outer iteration on the grid configs, too little to see
-end to end. The caller keeps single fits on the 2-D `kalman_filter`, whose
+model. The caller keeps single fits on the 2-D `kalman_filter`, whose
 `ndarray.dot` calls dispatch faster than stacked `@`.
 
 At n_x = 8, K = 1000 (the `table2-8-4` data at `default_init(8)`) one
@@ -416,31 +414,37 @@ def kalman_filter_lockstep(params: Sequence[ModelParams], observations: np.ndarr
     return [attempt(_filter_run, p, ys, cov_pass) for p, cov_pass in zip(params, passes)]
 
 
-def _smoother_gains(filter_run: FilterRun) -> np.ndarray:
-    """G_0..G_last from the filter's distinct predictions; G_last serves every k >= last."""
+def rts_smoother(params: ModelParams, filter_run: FilterRun) -> SmootherRun:
+    """Backward smoothing pass over a completed filter run.
+
+    Produces the smoothed moments down to k = 0 (the initial state, smoothed
+    against all observations) and the gains
+
+        G_k = Sigma_k A^T (A Sigma_k A^T + Q)^{-1},  k = 0..K-1,
+
+    where Sigma_0 is the prior initial covariance; A Sigma_k A^T + Q and
+    A Sigma_k are the filter's. A singular A Sigma_k A^T + Q is reported at
+    the 1-based step k + 1 it predicts, the earliest such step first.
+    """
+    K = filter_run.horizon
+    fmeans, fcovs, preds = filter_run.filtered_means, filter_run.filtered_covs, filter_run.predicted_covs
+    # G_0..G_last from the filter's distinct predictions; G_last serves every k >= last.
     gains, factors = [], []
-    for P_pred, cross in zip(filter_run.predicted_covs, filter_run.cross_covs):
+    for P_pred, cross in zip(preds, filter_run.cross_covs):
         L, info = dpotrf(P_pred, lower=1)
         factors.append(L)
         if info:
             break
         gains.append(dpotrs(L, cross, lower=1)[0].T)
     _guard(np.array(factors), info != 0)
-    return np.array(gains)
-
-
-def _backward_pass(Sigma0: np.ndarray, filter_run: FilterRun, gains: np.ndarray) -> tuple:
-    """The smoother's covariance recursion, backward from Sigma_K^s = Sigma_K.
-
-    Returns its runs of (Sigma_k^s, G_{k-1}) as three lists, backward: the
-    covariances, the indices of the gains and the run lengths; then Sigma_0^s.
-    """
-    fcovs, preds = filter_run.filtered_covs, filter_run.predicted_covs
+    gains = np.array(gains)
     last = len(gains) - 1
-    priors = [Sigma0, *fcovs[:last]]
+
+    # Backward from Sigma_K^s = Sigma_K, the runs of (Sigma_k^s, G_{k-1}) in reverse step order.
+    priors = [params.Sigma0, *fcovs[:last]]
     tol = SETTLE_TOL * np.abs(preds[last]).max()  # `_settled`'s, as P_{last+1|last} serves every k > last
-    covs, which, lengths = [], [], []
-    k, cov = filter_run.horizon - 1, fcovs[-1]
+    covs, which, lengths = [], [], []  # which: the index in gains of each run's G
+    k, cov = K - 1, fcovs[-1]
     while k >= 0:
         i = min(k, last)
         G = gains[i]
@@ -456,17 +460,7 @@ def _backward_pass(Sigma0: np.ndarray, filter_run: FilterRun, gains: np.ndarray)
             k = last
         cov = prev
         k -= 1
-    return covs, which, lengths, cov
-
-
-def _smoother_run(params: ModelParams, filter_run: FilterRun, gains: np.ndarray, backward: tuple) -> SmootherRun:
-    """The smoother from its gains and backward pass: the runs, merged, and the means."""
-    covs, which, lengths, initial_cov = backward
-    K = filter_run.horizon
-    fmeans = filter_run.filtered_means
-    last = len(gains) - 1
-    covs = np.array(covs[::-1])
-    run_gains = gains[which[::-1]]
+    covs, run_gains = np.array(covs[::-1]), gains[which[::-1]]
     # Where a recursion settles bit for bit, neighbouring runs hold the same pair. Merging them
     # keeps runs maximal, which fixes how compute_stats rounds its weighted sums.
     first = np.ones(len(lengths), dtype=bool)
@@ -488,25 +482,8 @@ def _smoother_run(params: ModelParams, filter_run: FilterRun, gains: np.ndarray,
 
     return SmootherRun(
         smoothed_means=means,
-        initial_cov=initial_cov,
+        initial_cov=cov,  # Sigma_0^s, where the recursion ended
         smoothed_covs=covs[starts],
         gains=run_gains[starts],
         run_lengths=np.add.reduceat(np.array(lengths[::-1]), starts),
     )
-
-
-def rts_smoother(params: ModelParams, filter_run: FilterRun) -> SmootherRun:
-    """Backward smoothing pass over a completed filter run.
-
-    Produces the smoothed moments down to k = 0 (the initial state, smoothed
-    against all observations) and the gains
-
-        G_k = Sigma_k A^T (A Sigma_k A^T + Q)^{-1},  k = 0..K-1,
-
-    where Sigma_0 is the prior initial covariance; A Sigma_k A^T + Q and
-    A Sigma_k are the filter's. A singular A Sigma_k A^T + Q is reported at
-    the 1-based step k + 1 it predicts, the earliest such step first.
-    """
-    gains = _smoother_gains(filter_run)
-    return _smoother_run(params, filter_run, gains, _backward_pass(params.Sigma0, filter_run, gains))
-

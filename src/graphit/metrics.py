@@ -34,9 +34,9 @@ def rmse(A_hat: np.ndarray, A_true: np.ndarray) -> float:
 
 
 def edge_confusion(A_hat: np.ndarray, A_true: np.ndarray, threshold: float = 1e-10) -> EdgeConfusion:
-    """Confusion counts with entry (i, j) an edge iff its magnitude exceeds threshold."""
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    """Confusion counts with entry (i, j) an edge iff its magnitude exceeds threshold (finite, >= 0)."""
+    if not 0 <= threshold < np.inf:
+        raise ValueError(f"threshold must be >= 0 and finite, got {threshold}")
     A_hat = np.asarray(A_hat, dtype=float)
     A_true = np.asarray(A_true, dtype=float)
     if A_hat.shape != A_true.shape:

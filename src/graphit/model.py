@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, NotPositiveDefiniteError
+from .exceptions import DimensionMismatchError, NonFiniteError, NotPositiveDefiniteError
 
 SYMMETRY_TOL = 1e-12
 
@@ -77,7 +77,10 @@ def _rng(seed) -> np.random.Generator:
 def _check_symmetric_pd(M: np.ndarray, name: str, *, semidefinite_ok: bool) -> None:
     if not M.shape or M.shape[0] != M.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {M.shape}")
-    asym = np.max(np.abs(M - M.T)) if M.size else 0.0
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the next test reports
+        asym = np.max(np.abs(M - M.T)) if M.size else 0.0
+    if not np.isfinite(asym):
+        raise NonFiniteError(f"{name} contains NaN or infinite values")
     if asym > SYMMETRY_TOL:
         raise NotPositiveDefiniteError(f"{name} is not symmetric (max asymmetry {asym:.3e})")
     if semidefinite_ok:
@@ -114,6 +117,8 @@ def validate(params: ModelParams, *, semidefinite_ok: bool = False) -> ModelPara
     ------
     DimensionMismatchError
         If any two fields have inconsistent shapes; the message names the pair.
+    NonFiniteError
+        If Q, R or Sigma0 holds a NaN or an infinity; the message names it.
     NotPositiveDefiniteError
         If Q, R or Sigma0 fails symmetry or definiteness; the message names it.
     """

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .algorithms import EstimatorConfig
 from .exceptions import ConfigError
 from .penalties import SHAPE_FIELD, Potential
 from .solver import DRConfig
@@ -51,14 +52,14 @@ class Scenario:
             raise ConfigError(f"support size s={self.s} outside [1, {self.n_x * self.n_x}]")
         if not all(0 < sigma < math.inf for sigma in (self.sigma_q, self.sigma_r, self.sigma_0)):
             raise ConfigError("sigma_q, sigma_r and sigma_0 must be finite and > 0")
-        if not self.edge_threshold >= 0:
-            raise ConfigError(f"edge_threshold must be >= 0, got {self.edge_threshold}")
+        if not 0 <= self.edge_threshold < math.inf:
+            raise ConfigError(f"edge_threshold must be >= 0 and finite, got {self.edge_threshold}")
         if not 0 < self.target_norm < math.inf:
             raise ConfigError(f"target_norm must be finite and > 0, got {self.target_norm}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.max_outer < 1:
-            raise ConfigError(f"max_outer must be >= 1, got {self.max_outer}")
+        try:
+            EstimatorConfig(epsilon=self.epsilon, max_outer=self.max_outer)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if not self.methods:

@@ -58,8 +58,8 @@ class DRConfig:
             raise ValueError(f"step must be finite and > 0, got {self.step}")
         if not 0.0 < self.relaxation < 2.0:
             raise ValueError(f"relaxation must be in (0, 2), got {self.relaxation}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be > 0, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be > 0 and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 

@@ -260,6 +260,8 @@ class TestEstimatorConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             EstimatorConfig(epsilon=0.0)
+        with pytest.raises(ValueError, match="epsilon must be > 0 and finite, got inf"):
+            EstimatorConfig(epsilon=np.inf)
         with pytest.raises(ValueError):
             EstimatorConfig(max_outer=0)
 

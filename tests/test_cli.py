@@ -600,10 +600,13 @@ class TestMainCommand:
         [
             ("", ["curve", "l1", "1.0", "--points", "-1"]),
             ("", ["bench", "{cfg}", "--threshold", "-1"]),
+            ("", ["bench", "{cfg}", "--threshold", "inf"]),
             ("", ["bench", "{cfg}", "--seed", "-1"]),
             ("edge_threshold = -1\n", ["bench", "{cfg}"]),
+            ("edge_threshold = inf\n", ["bench", "{cfg}"]),
             ("target_norm = 0\n", ["bench", "{cfg}"]),
             ("", ["export-dot", "{matrix}", "-1"]),
+            ("", ["export-dot", "{matrix}", "inf"]),
             ("", ["bench", "{cfg}", "--jobs", "0"]),
             ("", ["curve", "l1", "1.0", "0.5"]),
             ("", ["curve", "l1", "inf"]),
@@ -612,10 +615,13 @@ class TestMainCommand:
         ids=[
             "curve-points",
             "bench-threshold",
+            "bench-infinite-threshold",
             "bench-seed",
             "config-edge-threshold",
+            "config-infinite-edge-threshold",
             "config-target-norm",
             "export-dot-threshold",
+            "export-dot-infinite-threshold",
             "bench-jobs",
             "curve-shape-for-l1",
             "curve-infinite-gamma",
@@ -651,6 +657,8 @@ class TestMainCommand:
             (QUICK_CFG + "\n[grid.mlem]\ngamma = 1 10\n", ["unknown section [grid.mlem]"]),
             (QUICK_CFG + "\n[estimator]\nepsilon = 0\n", ["epsilon must be > 0"]),
             (QUICK_CFG + "\n[estimator]\nmax_outer = 0\n", ["max_outer must be >= 1"]),
+            (QUICK_CFG + "\n[estimator]\nepsilon = inf\n", ["epsilon must be > 0 and finite, got inf"]),
+            (QUICK_CFG + "\n[estimator]\ndr_tol = inf\n", ["[estimator]", "tol must be > 0 and finite, got inf"]),
             (QUICK_CFG + "\n[grid.graphit]\ngamma = 10\nlambda = 0.1 -1\n", ["[grid.graphit]", "lam > 0"]),
             (QUICK_CFG + "\n[grid.graphem]\ngamma = 1 x\n", ["cannot parse", "[grid.graphem]"]),
             (QUICK_CFG.replace("sigma_q = 0.1", "sigma_q = nan"), ["sigma_q"]),
@@ -688,6 +696,8 @@ class TestMainCommand:
             "grid-for-mlem",
             "zero-epsilon",
             "zero-max-outer",
+            "infinite-epsilon",
+            "infinite-dr-tol",
             "negative-grid-lambda",
             "grid-gamma-not-a-number",
             "nan-sigma-q",

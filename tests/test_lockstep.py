@@ -179,7 +179,7 @@ def potentials(draw, count):
 @settings(max_examples=20)
 @given(
     n_x=st.integers(2, 8), K=st.integers(10, 80), seed=seeds, data=st.data(),
-    stage=st.sampled_from(["_filter_run", "_smoother_gains"]),
+    stage=st.sampled_from(["_filter_run", "rts_smoother"]),
     error=st.sampled_from([NonFiniteError("injected"), SingularPredictiveCovarianceError(3)]),
 )
 def test_graphit_lockstep_matches_lone_fits(n_x, K, seed, data, stage, error):
@@ -201,11 +201,14 @@ def test_graphit_lockstep_matches_lone_fits(n_x, K, seed, data, stage, error):
     A0 = default_init(n_x)
 
     smoother = algorithms.rts_smoother
+    failing_at = set()  # the bytes of each A at which the drawn stage raises `error`
 
     def smoothing(smoothed):
-        """`rts_smoother` that logs the bytes of each A it is called at."""
+        """`rts_smoother` that logs the bytes of each A it is called at, and fails at those drawn to."""
         def logged(p, *args):
             smoothed.append(p.A.tobytes())
+            if stage == "rts_smoother" and p.A.tobytes() in failing_at:
+                raise error
             return smoother(p, *args)
         return logged
 
@@ -257,30 +260,20 @@ def test_graphit_lockstep_matches_lone_fits(n_x, K, seed, data, stage, error):
     # E-step fails at f >= 2 fails mid-batch, and at its last iterate, in the final objective.
     with pytest.MonkeyPatch.context() as monkeypatch:
         clean = lone_fits(monkeypatch)
-    failing_at = set()
     for result, _, _ in clean:
         if data.draw(st.booleans()):
             f = data.draw(st.integers(2, result.outer_iterations + 1))
             failing_at.add(result.iterates[f - 2].tobytes())
 
-    filter_run, smoother_gains = kalman._filter_run, kalman._smoother_gains
-    filtered_at = {}  # id of a FilterRun -> the bytes of its A
+    filter_run = kalman._filter_run
 
     def failing_filter(p, *args):
         if stage == "_filter_run" and p.A.tobytes() in failing_at:
             raise error
-        run = filter_run(p, *args)
-        filtered_at[id(run)] = p.A.tobytes()
-        return run
-
-    def failing_gains(run):
-        if stage == "_smoother_gains" and filtered_at[id(run)] in failing_at:
-            raise error
-        return smoother_gains(run)
+        return filter_run(p, *args)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(kalman, "_filter_run", failing_filter)
-        monkeypatch.setattr(kalman, "_smoother_gains", failing_gains)
         lone = lone_fits(monkeypatch)
         results, rounds, smoothed = lockstep_fits(monkeypatch)
 

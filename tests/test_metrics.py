@@ -86,6 +86,11 @@ class TestEdgeConfusion:
         with pytest.raises(ValueError):
             edge_confusion(np.eye(2), np.eye(2), threshold=-1.0)
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be >= 0 and finite"):
+            edge_confusion(np.eye(2), np.eye(2), threshold=threshold)
+
 
 class TestScores:
     def test_accuracy_enumerated(self):

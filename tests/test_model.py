@@ -4,8 +4,10 @@ import pytest
 from graphit import (
     DimensionMismatchError,
     ModelParams,
+    NonFiniteError,
     NotPositiveDefiniteError,
     generate_sparse_A,
+    kalman_filter,
     simulate,
     spectral_norm,
     validate,
@@ -52,6 +54,25 @@ class TestValidate:
         bad = ModelParams(**{**params.__dict__, "Q": Q})
         with pytest.raises(NotPositiveDefiniteError):
             validate(bad)
+
+    @pytest.mark.parametrize("name", ["Q", "R", "Sigma0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda p: validate(p),
+            lambda p: validate(p, semidefinite_ok=True),
+            lambda p: simulate(p, K=5, seed=0),
+            lambda p: kalman_filter(p, np.ones((5, 2))),
+        ],
+        ids=["validate", "validate-semidefinite", "simulate", "kalman-filter"],
+    )
+    def test_non_finite_covariance_named(self, name, value, check):
+        params = _identity_params()
+        M = getattr(params, name).copy()
+        M[0, 0] = value
+        with pytest.raises(NonFiniteError, match=f"^{name} contains NaN or infinite values$"):
+            check(ModelParams(**{**params.__dict__, name: M}))
 
     def test_semidefinite_flag_allows_zero(self):
         params = _identity_params()
