@@ -218,20 +218,17 @@ def graphit_lockstep(
     """`graphit` from A0 at each potential (cfg's own is ignored), with the fits in lockstep.
 
     Each M-step runs one Douglas-Rachford loop over the fits still running
-    (`douglas_rachford` for one), with Q factored once, after the first filter
-    pass has checked it. Each entry is the EstimatorResult of its fit, bit for
-    bit the one `graphit` returns, or the error that `graphit` raises there.
+    (`douglas_rachford` for one), with Q factored once; a bad Q fails each fit's
+    first filter pass, by name, before any M-step. Each entry is the EstimatorResult
+    of its fit, bit for bit the one `graphit` returns, or the error `graphit` raises.
     """
     Q = params_rest.Q
-    q_factors = None
+    q_factors = attempt(QFactors.of, Q)
 
     def minimize(batch: list, _i: int) -> list:
-        nonlocal q_factors
-        problems = [(stats, weight_matrix(fit.cfg.potential, fit.A), fit.A) for stats, fit in batch]
-        if q_factors is None:
-            q_factors = attempt(QFactors.of, Q)
         if isinstance(q_factors, Exception):
-            return [q_factors] * len(problems)
+            return [q_factors] * len(batch)
+        problems = [(stats, weight_matrix(fit.cfg.potential, fit.A), fit.A) for stats, fit in batch]
         if len(problems) == 1:
             [(stats, Omega, A_prev)] = problems
             reports = [attempt(douglas_rachford, stats, Q, Omega, A_prev, cfg.dr, q_factors)]

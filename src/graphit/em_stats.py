@@ -24,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .exceptions import NonFiniteError
+from .exceptions import DimensionMismatchError, NonFiniteError, NotPositiveDefiniteError
 from .kalman import SmootherRun
 
 
@@ -58,20 +57,31 @@ def compute_stats(smoother: SmootherRun) -> EMStats:
     return EMStats(Psi=Psi, Phi=0.5 * (Phi + Phi.T), Delta=Delta)
 
 
-def q_quadratic(A: np.ndarray, stats: EMStats, Q: np.ndarray, Q_cholesky: tuple | None = None) -> float:
+def q_cholesky(Q: np.ndarray) -> np.ndarray:
+    """Q's lower Cholesky factor by `dpotrf`, which factors a NaN without complaint: hence the first test."""
+    Q = np.asarray(Q, dtype=float)
+    if not np.isfinite(Q).all():
+        raise NonFiniteError("Q is not finite, which the M-step needs")
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+        raise DimensionMismatchError(f"Q must be square, got shape {Q.shape}")
+    factor, info = dpotrf(Q, lower=1)
+    if info:
+        raise NotPositiveDefiniteError("Q is not positive definite, which the M-step needs")
+    return factor
+
+
+def q_quadratic(A: np.ndarray, stats: EMStats, Q: np.ndarray, Q_cholesky: np.ndarray | None = None) -> float:
     """Quadratic transition term of the EM bound.
 
     Returns 1/2 tr(Q^{-1} (Psi - Delta A^T - A Delta^T + A Phi A^T)),
-    evaluated through a Cholesky solve against Q by `dpotrs`, as `cho_solve`
-    makes it but without its wrapper's cost. A caller holding
-    `Q_cholesky = cho_factor(Q, lower=True)` passes it to skip the factorization.
+    evaluated through a Cholesky solve against Q by `dpotrs`. A caller holding
+    `Q_cholesky = q_cholesky(Q)` passes it to skip the factorization.
     """
     if Q_cholesky is None:
-        Q_cholesky = cho_factor(Q, lower=True)
-    factor, lower = Q_cholesky
+        Q_cholesky = q_cholesky(Q)
     # A Delta^T is (Delta A^T)^T bit for bit, and `ndarray.dot` makes `@`'s BLAS products.
     cross = stats.Delta.dot(A.T)
     inner = stats.Psi - cross - cross.T + A.dot(stats.Phi).dot(A.T)
     if not np.isfinite(inner).all():
         raise NonFiniteError("the quadratic term of the EM bound is not finite")
-    return 0.5 * float(np.trace(dpotrs(factor, inner, lower=lower)[0]))
+    return 0.5 * float(np.trace(dpotrs(Q_cholesky, inner, lower=1)[0]))

@@ -14,14 +14,11 @@ Q is fixed for a whole fit, so `graphit` factors it once (`QFactors`: its
 eigendecomposition and Cholesky factor) and each solve adds one eigh(Phi).
 In those eigenbases the quadratic prox is y = U (G . (U^T v W) + B) W^T with
 G and B fixed for the solve, so a sweep is four small matrix products plus
-entrywise passes over preallocated buffers: about 32 us per sweep at
-n = 32 on a 2-core x86-64 VM with one BLAS thread.
+entrywise passes over preallocated buffers.
 
-`douglas_rachford_lockstep` solves several problems with one Q at once: each
-sweep runs once over the stack of the problems still iterating, and each
-problem stops by its own test, after as many sweeps as it would take alone.
-It stacks even one problem; the caller picks `douglas_rachford` for a lone
-problem, whose `np.dot` calls dispatch faster than stacked `np.matmul`.
+`douglas_rachford_lockstep` solves several problems with one Q at once: one
+prox holds them all as a stack, each sweep runs once over the problems still
+iterating, and each stops by its own test, after as many sweeps as alone.
 """
 
 from __future__ import annotations
@@ -31,10 +28,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor
 
-from .em_stats import EMStats, q_quadratic
-from .exceptions import NotPositiveDefiniteError, attempt
+from .em_stats import EMStats, q_cholesky, q_quadratic
+from .exceptions import attempt
 
 
 @dataclass(frozen=True)
@@ -79,19 +75,16 @@ class SolverReport:
 class QFactors:
     """The factorizations of Q that every solve of one fit shares.
 
-    Q = U diag(lam) U^T, and `cholesky` is `cho_factor(Q, lower=True)`.
+    Q = U diag(lam) U^T, and `cholesky` is Q's lower Cholesky factor (`q_cholesky`).
     """
 
     lam: np.ndarray
     U: np.ndarray
-    cholesky: tuple
+    cholesky: np.ndarray
 
     @classmethod
     def of(cls, Q: np.ndarray) -> QFactors:
-        try:
-            cholesky = cho_factor(Q, lower=True)
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefiniteError("Q is not positive definite, which the M-step needs") from None
+        cholesky = q_cholesky(Q)
         lam, U = np.linalg.eigh(Q)
         return cls(lam=lam, U=U, cholesky=cholesky)
 
@@ -120,26 +113,37 @@ class _QuadraticProx:
     A = U X W^T turns it into X = G . (U^T V W) + B, with
     denom_ij = lam_i / step + m_j, G_ij = (lam_i / step) / denom_ij and
     B = (U^T Delta W) / denom: four matrix products per application.
+
+    `Delta`, `m`, `W` and `step` may carry a leading stack axis, one slice per
+    solve with this Q, and the map then applies to a stack of points. Stacked
+    products compute each slice by the BLAS call that one solve's `np.dot`
+    makes, so each slice is its lone value; `np.dot` dispatches faster.
     """
 
-    def __init__(self, Delta: np.ndarray, lam, U, m, W, step: float):
-        denom = np.maximum(m, 0.0)[None, :] + lam[:, None] / step
+    def __init__(self, Delta: np.ndarray, lam, U, m, W, step):
+        scaled = lam[:, None] / np.asarray(step)[..., None, None]
+        denom = np.maximum(m, 0.0)[..., None, :] + scaled
+        self._product = np.dot if W.ndim == 2 else np.matmul
         # Contiguous transposes: a product with a transposed view costs about 20% more at n = 32.
         self._U, self._Ut = U, np.ascontiguousarray(U.T)
-        self._W, self._Wt = W, np.ascontiguousarray(W.T)
-        self._G = (lam / step)[:, None] / denom
-        self._B = (self._Ut @ Delta @ self._W) / denom
-        self._left = np.empty_like(denom)
-        self._inner = np.empty_like(denom)
+        self._W, self._Wt = W, np.ascontiguousarray(np.swapaxes(W, -1, -2))
+        self._G = scaled / denom
+        self._B = (self._Ut @ Delta @ W) / denom
+        self._left, self._inner = np.empty_like(denom), np.empty_like(denom)
+
+    def keep(self, rows) -> None:
+        """Keep the solves `rows` (an index or a mask) of a stack only."""
+        self._W, self._Wt, self._G, self._B = self._W[rows], self._Wt[rows], self._G[rows], self._B[rows]
+        self._left, self._inner = np.empty_like(self._B), np.empty_like(self._B)
 
     def __call__(self, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # np.dot, not np.matmul: the same BLAS product with less dispatch overhead.
-        np.dot(self._Ut, V, out=self._left)
-        inner = np.dot(self._left, self._W, out=self._inner)
+        product = self._product
+        product(self._Ut, V, out=self._left)
+        inner = product(self._left, self._W, out=self._inner)
         inner *= self._G
         inner += self._B
-        np.dot(self._U, inner, out=self._left)
-        return np.dot(self._left, self._Wt, out=out)
+        product(self._U, inner, out=self._left)
+        return product(self._left, self._Wt, out=out)
 
 
 def prox_quadratic(V: np.ndarray, stats: EMStats, Q: np.ndarray, step: float) -> np.ndarray:
@@ -150,7 +154,7 @@ def prox_quadratic(V: np.ndarray, stats: EMStats, Q: np.ndarray, step: float) ->
 
 
 def surrogate_value(
-    A: np.ndarray, stats: EMStats, Q: np.ndarray, Omega: np.ndarray, Q_cholesky: tuple | None = None
+    A: np.ndarray, stats: EMStats, Q: np.ndarray, Omega: np.ndarray, Q_cholesky: np.ndarray | None = None
 ) -> float:
     """Full inner objective q(A) + ||Omega . A||_1 (`Q_cholesky` as in `q_quadratic`)."""
     return q_quadratic(A, stats, Q, Q_cholesky) + float(np.sum(Omega * np.abs(A)))
@@ -169,10 +173,10 @@ def effective_prox_scale(stats: EMStats, Q: np.ndarray, cfg: DRConfig) -> float:
 
 
 def _setup(stats: EMStats, Omega: np.ndarray, cfg: DRConfig, q_factors: QFactors) -> tuple:
-    """The quadratic prox of one solve, and the l1 thresholds scale * Omega at its prox scale."""
+    """Of one solve: Phi = W diag(m) W^T as (m, W), the prox scale, and the l1 thresholds scale * Omega."""
     m, W = np.linalg.eigh(stats.Phi)
     scale = _prox_scale(cfg.step, m, q_factors.lam)
-    return _QuadraticProx(stats.Delta, q_factors.lam, q_factors.U, m, W, scale), scale * Omega
+    return m, W, scale, scale * Omega
 
 
 def _sweep(z, t, neg_t, prox_q, relaxation, c, v, y, x) -> None:
@@ -229,7 +233,8 @@ def douglas_rachford(
     """
     if q_factors is None:
         q_factors = QFactors.of(Q)
-    prox_q, t = _setup(stats, Omega, cfg, q_factors)
+    m, W, scale, t = _setup(stats, Omega, cfg, q_factors)
+    prox_q = _QuadraticProx(stats.Delta, q_factors.lam, q_factors.U, m, W, scale)
     neg_t = -t
     z = np.array(A_init, dtype=float)
     c, v, y, x, x_prev = (np.empty_like(z) for _ in range(5))
@@ -248,37 +253,6 @@ def douglas_rachford(
                 break
         norm_prev = math.sqrt(np.vdot(x, x))
     return _report(x, n, residual, converged, stats, Q, Omega, A_init, q_factors)
-
-
-# The arrays of a `_QuadraticProx` that differ between the solves of one Q.
-_PER_SOLVE = ("_W", "_Wt", "_G", "_B")
-
-
-class _StackedProx:
-    """Several `_QuadraticProx` of one Q, applied to a stack of points, one per slice.
-
-    Each product is one stacked call, which computes each slice by the BLAS
-    call that `np.dot` makes in `_QuadraticProx`, so each slice is its value.
-    """
-
-    def __init__(self, proxes: Sequence[_QuadraticProx]):
-        self._U, self._Ut = proxes[0]._U, proxes[0]._Ut
-        self._W, self._Wt, self._G, self._B = (np.array([getattr(p, name) for p in proxes]) for name in _PER_SOLVE)
-        self.keep(slice(None))
-
-    def keep(self, rows) -> None:
-        """Keep the points `rows` (an index or a mask) only."""
-        self._W, self._Wt, self._G, self._B = (getattr(self, name)[rows] for name in _PER_SOLVE)
-        self._left = np.empty_like(self._B)
-        self._inner = np.empty_like(self._B)
-
-    def __call__(self, V: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.matmul(self._Ut, V, out=self._left)
-        inner = np.matmul(self._left, self._W, out=self._inner)
-        inner *= self._G
-        inner += self._B
-        np.matmul(self._U, inner, out=self._left)
-        return np.matmul(self._left, self._Wt, out=out)
 
 
 def _norms(V: np.ndarray) -> np.ndarray:
@@ -302,7 +276,7 @@ def douglas_rachford_lockstep(
 
     Each sweep runs once over the stack of the problems still iterating, with
     the 2-D sweep's operations, so each slice takes the 2-D values (see
-    `_StackedProx` and `_norms`). A problem leaves the stack when it meets its
+    `_QuadraticProx` and `_norms`). A problem leaves the stack when it meets its
     tolerance, so each stops after as many sweeps as it would alone. Each
     entry is the SolverReport of its problem, or the error in `FIT_ERRORS`
     that `douglas_rachford` raises there.
@@ -311,8 +285,9 @@ def douglas_rachford_lockstep(
     live = [j for j, setup in enumerate(reports) if not isinstance(setup, Exception)]
     if not live:
         return reports
-    prox_q = _StackedProx([reports[j][0] for j in live])
-    t = np.array([reports[j][1] for j in live])
+    m, W, scale, t = (np.array(stack) for stack in zip(*(reports[j] for j in live)))
+    Delta = np.array([problems[j][0].Delta for j in live])
+    prox_q = _QuadraticProx(Delta, q_factors.lam, q_factors.U, m, W, scale)
     neg_t = -t
 
     z = np.array([problems[j][2] for j in live], dtype=float)

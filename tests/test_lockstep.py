@@ -32,12 +32,13 @@ seeds = st.integers(0, 2**32 - 1)
 
 @given(n=st.integers(1, 32), n_y=st.integers(1, 8), batch=st.integers(2, 9), seed=seeds)
 def test_stacked_products_match_ndarray_dot_per_slice(n, n_y, batch, seed):
-    """Each product of the lockstep passes, stacked, equals `ndarray.dot` (or `np.dot`) on each slice."""
+    """Each product of the lockstep passes, stacked, equals `ndarray.dot`, `np.dot` or 2-D `@` on each slice."""
     rng = np.random.default_rng(seed)
     A, Sigma, W = (rng.standard_normal((batch, n, n)) for _ in range(3))
     H = rng.standard_normal((n_y, n))
     gain, S = rng.standard_normal((batch, n, n_y)), rng.standard_normal((batch, n_y, n_y))
     U = rng.standard_normal((n, n))
+    Ut = np.ascontiguousarray(U.T)
     cross = A @ Sigma
     stacked = [
         (cross, lambda j: A[j].dot(Sigma[j])),
@@ -47,6 +48,7 @@ def test_stacked_products_match_ndarray_dot_per_slice(n, n_y, batch, seed):
         (gain @ S @ gain.transpose(0, 2, 1), lambda j: gain[j].dot(S[j]).dot(gain[j].T)),
         (np.matmul(U, W), lambda j: np.dot(U, W[j])),
         (np.matmul(W, A), lambda j: np.dot(W[j], A[j])),
+        (Ut @ Sigma @ W, lambda j: Ut @ Sigma[j] @ W[j]),  # the prox set-up's U^T Delta W
     ]
     for product, per_slice in stacked:
         for j in range(batch):
@@ -152,6 +154,19 @@ def dr_batches(draw):
 
 
 REPORT_FIELDS = ("minimizer", "iterations", "final_residual", "converged", "fell_back")
+
+
+def test_non_finite_q_fails_each_fit_in_its_filter():
+    """Q is factored before the first outer iteration, yet a NaN in Q is each fit's filter error, naming Q."""
+    params = ModelParams(A=0.5 * np.eye(2), H=np.eye(2), Q=np.array([[0.1, 0.0], [0.0, np.nan]]),
+                         R=0.1 * np.eye(2), mu0=np.zeros(2), Sigma0=0.1 * np.eye(2))
+    observations = np.random.default_rng(0).standard_normal((20, 2))
+    points = [Potential("l1", gamma=1.0), Potential("log-sum", gamma=3.0, lam=0.1), Potential("mcp", gamma=3.0, lam=0.1)]
+    cfg = EstimatorConfig(potential=points[0])
+    with pytest.raises(NonFiniteError) as lone:
+        graphit(observations, params, default_init(2), cfg)
+    outcomes = [lone.value, *graphit_lockstep(observations, params, default_init(2), cfg, points)]
+    assert [(type(err), str(err)) for err in outcomes] == [(NonFiniteError, "Q contains NaN or infinite values")] * 4
 
 
 @given(dr_batches())

@@ -5,9 +5,12 @@ from hypothesis import strategies as st
 
 from graphit import (
     DRConfig,
+    NonFiniteError,
+    NotPositiveDefiniteError,
     douglas_rachford,
     prox_quadratic,
     prox_weighted_l1,
+    q_quadratic,
     surrogate_value,
 )
 from graphit.em_stats import EMStats
@@ -211,6 +214,30 @@ class TestDouglasRachford:
             DRConfig(tol=np.inf)
         with pytest.raises(ValueError):
             DRConfig(max_iter=0)
+
+
+BAD_Q = {
+    "nan": (np.array([[1.0, np.nan], [np.nan, 1.0]]), NonFiniteError, "Q is not finite"),
+    "inf": (np.array([[np.inf, 0.0], [0.0, 1.0]]), NonFiniteError, "Q is not finite"),
+    "-inf": (np.array([[1.0, 0.0], [0.0, -np.inf]]), NonFiniteError, "Q is not finite"),
+    "indefinite": (np.array([[1.0, 2.0], [2.0, 1.0]]), NotPositiveDefiniteError, "Q is not positive definite"),
+}
+
+
+@pytest.mark.parametrize("entry", BAD_Q.values(), ids=BAD_Q.keys())
+@pytest.mark.parametrize("call", ["douglas_rachford", "q_quadratic", "surrogate_value"])
+def test_bad_q_is_a_typed_error(call, entry):
+    """Q's Cholesky factor is taken by `dpotrf`, which factors a NaN quietly; each entry point names Q."""
+    Q, error, message = entry
+    stats = EMStats(Psi=np.eye(2), Phi=np.eye(2), Delta=np.eye(2))
+    A, Omega = np.eye(2), np.full((2, 2), 0.1)
+    calls = {
+        "douglas_rachford": lambda: douglas_rachford(stats, Q, Omega, A),
+        "q_quadratic": lambda: q_quadratic(A, stats, Q),
+        "surrogate_value": lambda: surrogate_value(A, stats, Q, Omega),
+    }
+    with pytest.raises(error, match=message):
+        calls[call]()
 
 
 @st.composite
