@@ -24,6 +24,7 @@ for a batch down to one fit; each fit's result has the same bits either way.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Literal
@@ -51,8 +52,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if not 0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be > 0 and finite, got {self.epsilon}")
-        if self.max_outer < 1:
-            raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
+        if not (isinstance(self.max_outer, numbers.Integral) and self.max_outer >= 1):
+            raise ValueError(f"max_outer must be >= 1 and an integer, got {self.max_outer}")
 
 
 @dataclass(frozen=True)

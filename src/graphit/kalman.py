@@ -81,7 +81,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .exceptions import NonFiniteError, SingularPredictiveCovarianceError, attempt
-from .model import ModelParams, validate
+from .model import ModelParams, check_transition, validate
 
 # Cholesky-diagonal condition estimate beyond which S_k is treated as singular.
 CONDITION_LIMIT = 1e12
@@ -402,16 +402,20 @@ def kalman_filter(params: ModelParams, observations: np.ndarray) -> FilterRun:
 def kalman_filter_lockstep(params: Sequence[ModelParams], observations: np.ndarray) -> list:
     """`kalman_filter` at each of several parameter sets that differ in A only.
 
-    The checks of the model and the observations run once, because they see
-    A only through its shape; one covariance pass runs over all the sets
-    (`_filter_passes`); the rest runs per set. Each entry is the FilterRun of
-    its set, or the error in `FIT_ERRORS` that `kalman_filter` raises there.
+    Each set's A gets the checks `validate` makes first (`check_transition`).
+    The other checks of the model and the observations see A only through its
+    shape, so they run once. One covariance pass runs over the sets that
+    passed (`_filter_passes`); the rest runs per set. Each entry is the
+    FilterRun of its set, or the error in `FIT_ERRORS` that `kalman_filter`
+    raises there.
     """
-    ys = attempt(_observations, params[0], observations)
-    if isinstance(ys, Exception):
-        return [ys] * len(params)
-    passes = _filter_passes(params, ys.shape[0])
-    return [attempt(_filter_run, p, ys, cov_pass) for p, cov_pass in zip(params, passes)]
+    errors = [attempt(check_transition, p.A) for p in params]
+    live = [p for p, error in zip(params, errors) if error is None]
+    ys = attempt(_observations, live[0], observations) if live else None
+    if ys is None or isinstance(ys, Exception):
+        return [ys if error is None else error for error in errors]
+    passes = iter(_filter_passes(live, ys.shape[0]))
+    return [attempt(_filter_run, p, ys, next(passes)) if error is None else error for p, error in zip(params, errors)]
 
 
 def rts_smoother(params: ModelParams, filter_run: FilterRun) -> SmootherRun:

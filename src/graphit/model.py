@@ -74,6 +74,18 @@ def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def _check_finite(M: np.ndarray, name: str) -> None:
+    if not np.isfinite(M).all():
+        raise NonFiniteError(f"{name} contains NaN or infinite values")
+
+
+def check_transition(A: np.ndarray) -> None:
+    """`validate`'s first checks, and the only ones that see A's values: A is square and finite."""
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise DimensionMismatchError(f"A must be square, got shape {A.shape}")
+    _check_finite(A, "A")
+
+
 def _check_symmetric_pd(M: np.ndarray, name: str, *, semidefinite_ok: bool) -> None:
     if not M.shape or M.shape[0] != M.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {M.shape}")
@@ -118,13 +130,12 @@ def validate(params: ModelParams, *, semidefinite_ok: bool = False) -> ModelPara
     DimensionMismatchError
         If any two fields have inconsistent shapes; the message names the pair.
     NonFiniteError
-        If Q, R or Sigma0 holds a NaN or an infinity; the message names it.
+        If any field holds a NaN or an infinity; the message names it.
     NotPositiveDefiniteError
         If Q, R or Sigma0 fails symmetry or definiteness; the message names it.
     """
     A, H, Q, R, mu0, Sigma0 = params.A, params.H, params.Q, params.R, params.mu0, params.Sigma0
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatchError(f"A must be square, got shape {A.shape}")
+    check_transition(A)
     nx = A.shape[0]
     if H.ndim != 2 or H.shape[1] != nx:
         raise DimensionMismatchError(f"H has shape {H.shape}, incompatible with A of shape {A.shape}")
@@ -139,6 +150,8 @@ def validate(params: ModelParams, *, semidefinite_ok: bool = False) -> ModelPara
         raise DimensionMismatchError(
             f"Sigma0 has shape {Sigma0.shape}, incompatible with A of shape {A.shape}"
         )
+    _check_finite(H, "H")
+    _check_finite(mu0, "mu0")
     _check_symmetric_pd(Q, "Q", semidefinite_ok=semidefinite_ok)
     _check_symmetric_pd(R, "R", semidefinite_ok=semidefinite_ok)
     _check_symmetric_pd(Sigma0, "Sigma0", semidefinite_ok=semidefinite_ok)

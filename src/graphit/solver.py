@@ -24,6 +24,7 @@ iterating, and each stops by its own test, after as many sweeps as alone.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -56,8 +57,8 @@ class DRConfig:
             raise ValueError(f"relaxation must be in (0, 2), got {self.relaxation}")
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be > 0 and finite, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be >= 1 and an integer, got {self.max_iter}")
 
 
 @dataclass(frozen=True)

@@ -114,6 +114,30 @@ def test_lockstep_filter_matches_lone_passes(n_x, n_y, K, batch, q_scale, seed):
             assert outcome_bytes(run, FILTER_FIELDS) == outcome_bytes(lone, FILTER_FIELDS)
 
 
+@pytest.mark.parametrize("bad_sets", [(0,), (1,), (0, 2), (0, 1, 2)], ids=str)
+@pytest.mark.parametrize("shared", [None, "Q", "observations"])
+def test_lockstep_filter_checks_each_transition_matrix(bad_sets, shared):
+    """A NaN in one set's A is that set's error, as the lone filter names it; the other sets go on."""
+    rng = np.random.default_rng(7)
+    base = random_model(rng, 3, 2, 1.0)
+    observations = rng.standard_normal((30, 2))
+    if shared == "Q":
+        base = dataclasses.replace(base, Q=np.where(np.eye(3) == 1, np.inf, base.Q))
+    elif shared == "observations":
+        observations[4, 1] = np.nan
+    params = []
+    for j, A in enumerate(transition_matrices(rng, 3, 3)):
+        if j in bad_sets:
+            A[1, 2] = np.nan
+        params.append(dataclasses.replace(base, A=A))
+    with np.errstate(over="ignore", invalid="ignore"):
+        filters = kalman.kalman_filter_lockstep(params, observations)
+        for run, p in zip(filters, params):
+            lone = attempt(kalman.kalman_filter, p, observations)
+            assert outcome_bytes(run, FILTER_FIELDS) == outcome_bytes(lone, FILTER_FIELDS)
+    assert str(filters[bad_sets[0]]) == "A contains NaN or infinite values"
+
+
 @given(n_x=st.integers(1, 8), n_y=st.integers(1, 8), K=st.integers(1, 40), batch=st.integers(1, 6), seed=seeds)
 def test_lockstep_factors_are_dpotrf_per_slice(n_x, n_y, K, batch, seed):
     """The stacked filter pass factors each S_k by `dpotrf` alone, as the 2-D pass does.

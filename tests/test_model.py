@@ -55,7 +55,7 @@ class TestValidate:
         with pytest.raises(NotPositiveDefiniteError):
             validate(bad)
 
-    @pytest.mark.parametrize("name", ["Q", "R", "Sigma0"])
+    @pytest.mark.parametrize("name", ["A", "H", "mu0", "Q", "R", "Sigma0"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
         "check",
@@ -70,7 +70,7 @@ class TestValidate:
     def test_non_finite_covariance_named(self, name, value, check):
         params = _identity_params()
         M = getattr(params, name).copy()
-        M[0, 0] = value
+        M.flat[0] = value
         with pytest.raises(NonFiniteError, match=f"^{name} contains NaN or infinite values$"):
             check(ModelParams(**{**params.__dict__, name: M}))
 
