@@ -242,7 +242,7 @@ def _observations(params: ModelParams, observations) -> np.ndarray:
 
 def _filter_pass(params: ModelParams, K: int) -> _FilterPass:
     A, H, Q, R = params.A, params.H, params.Q, params.R
-    At, Ht = A.T, H.T
+    At, Ht, I = A.T, H.T, np.eye(params.nx)
     covs, pred_covs, preds, crosses, gains, factors = [], [], [], [], [], []
     steady_step = None
     Sigma = params.Sigma0
@@ -258,7 +258,9 @@ def _filter_pass(params: ModelParams, K: int) -> _FilterPass:
             if info:
                 break
             gain = dpotrs(L, PHt.T, lower=1)[0].T
-            Sigma = _sym(P_pred - gain.dot(S).dot(gain.T))
+            # Joseph form: PSD by construction, where P - G S G^T rounds at P's scale, not Sigma's.
+            IGH = I - gain.dot(H)
+            Sigma = _sym(IGH.dot(P_pred).dot(IGH.T) + gain.dot(R).dot(gain.T))
             if k and _settled(Sigma, covs[-1], P_pred) and _settled(S, pred_covs[-1], S):
                 steady_step = k + 1
             covs.append(Sigma)
@@ -281,7 +283,7 @@ def _filter_passes(params: Sequence[ModelParams], K: int) -> list[_FilterPass]:
     `dpotrf`. A point leaves the stack at the step where it settles or fails.
     """
     H, Q, R = params[0].H, params[0].Q, params[0].R
-    Ht = H.T
+    Ht, I = H.T, np.eye(params[0].nx)
     passes = [_FilterPass() for _ in params]
     live = passes  # the passes still running, in stack order
     A = np.array([p.A for p in params])
@@ -302,7 +304,8 @@ def _filter_passes(params: Sequence[ModelParams], K: int) -> list[_FilterPass]:
                     run.failed = True
                 else:
                     gain[j] = dpotrs(L, PHt_j.T, lower=1)[0].T
-            Sigma = _sym_each(P_pred - gain @ S @ gain.transpose(0, 2, 1))
+            IGH = I - gain @ H
+            Sigma = _sym_each(IGH @ P_pred @ IGH.transpose(0, 2, 1) + gain @ R @ gain.transpose(0, 2, 1))
             if k:
                 settled = _settled_each(Sigma, prev_Sigma, P_pred)
                 if settled.any():

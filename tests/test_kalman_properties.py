@@ -172,15 +172,11 @@ def test_covariances_stay_symmetric_psd(seed, nx, ny, K, radius, log_q, spread_q
             assert np.linalg.eigvalsh(C)[0] >= -PSD_TOL * scale, (name, j)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the standard-form update keeps Sigma_k PSD only to the rounding of P_k|k-1, "
-    "not at the scale of Sigma_k itself",
-)
 def test_filtered_covariance_psd_at_its_own_scale():
     # Q with eigenvalues up to 1e5 observed through R down to 1e-10 (N_y > N_x):
-    # Sigma_1 is about 1e-12 of P_1|0, and its rounding (1e-16 of P_1|0)
-    # gives it an eigenvalue of -1.1e-11 against a largest one of 6.9e-8.
+    # Sigma_1 is about 1e-12 of P_1|0. The standard update P - G S G^T rounds
+    # it at the scale of P_1|0 and gave it an eigenvalue of -1.1e-11 against a
+    # largest one of 6.9e-8; the Joseph form keeps it PSD at its own scale.
     params = _badly_scaled_model(155, 4, 5, 0.5, 2.0, 6.0, -8.0, 4.0, 0.0)
     run = kalman_filter(params, np.zeros((10, 5)))
     for C in run.filtered_covs:

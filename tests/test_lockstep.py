@@ -40,12 +40,16 @@ def test_stacked_products_match_ndarray_dot_per_slice(n, n_y, batch, seed):
     U = rng.standard_normal((n, n))
     Ut = np.ascontiguousarray(U.T)
     cross = A @ Sigma
+    IGH, P, R = np.eye(n) - gain @ H, Sigma, S[0]  # the Joseph update's I - G H, P_k|k-1 and R
     stacked = [
         (cross, lambda j: A[j].dot(Sigma[j])),
         (cross @ A.transpose(0, 2, 1), lambda j: cross[j].dot(A[j].T)),
         (cross @ H.T, lambda j: cross[j].dot(H.T)),
         (H @ gain, lambda j: H.dot(gain[j])),
         (gain @ S @ gain.transpose(0, 2, 1), lambda j: gain[j].dot(S[j]).dot(gain[j].T)),
+        (gain @ H, lambda j: gain[j].dot(H)),
+        (IGH @ P @ IGH.transpose(0, 2, 1), lambda j: IGH[j].dot(P[j]).dot(IGH[j].T)),
+        (gain @ R @ gain.transpose(0, 2, 1), lambda j: gain[j].dot(R).dot(gain[j].T)),
         (np.matmul(U, W), lambda j: np.dot(U, W[j])),
         (np.matmul(W, A), lambda j: np.dot(W[j], A[j])),
         (Ut @ Sigma @ W, lambda j: Ut @ Sigma[j] @ W[j]),  # the prox set-up's U^T Delta W
