@@ -415,7 +415,7 @@ def kalman_filter_lockstep(params: Sequence[ModelParams], observations: np.ndarr
     errors = [attempt(check_transition, p.A) for p in params]
     live = [p for p, error in zip(params, errors) if error is None]
     ys = attempt(_observations, live[0], observations) if live else None
-    if ys is None or isinstance(ys, Exception):
+    if not isinstance(ys, np.ndarray):
         return [ys if error is None else error for error in errors]
     passes = iter(_filter_passes(live, ys.shape[0]))
     return [attempt(_filter_run, p, ys, next(passes)) if error is None else error for p, error in zip(params, errors)]

@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 
 import graphit.algorithms as algorithms
 import graphit.kalman as kalman
-from graphit import FAMILIES, ModelParams, NonFiniteError, Potential, SingularPredictiveCovarianceError
+from graphit import (
+    FAMILIES,
+    DimensionMismatchError,
+    ModelParams,
+    NonFiniteError,
+    Potential,
+    SingularPredictiveCovarianceError,
+)
 from graphit.algorithms import EstimatorConfig, default_init, graphit, graphit_lockstep
 from graphit.em_stats import EMStats
 from graphit.exceptions import attempt
@@ -184,17 +191,24 @@ def dr_batches(draw):
 REPORT_FIELDS = ("minimizer", "iterations", "final_residual", "converged", "fell_back")
 
 
-def test_non_finite_q_fails_each_fit_in_its_filter():
-    """Q is factored before the first outer iteration, yet a NaN in Q is each fit's filter error, naming Q."""
-    params = ModelParams(A=0.5 * np.eye(2), H=np.eye(2), Q=np.array([[0.1, 0.0], [0.0, np.nan]]),
-                         R=0.1 * np.eye(2), mu0=np.zeros(2), Sigma0=0.1 * np.eye(2))
+@pytest.mark.parametrize(
+    "Q, error, message",
+    [
+        (np.array([[0.1, 0.0], [0.0, np.nan]]), NonFiniteError, "Q contains NaN or infinite values"),
+        (np.ones((2, 3)), DimensionMismatchError, "Q has shape (2, 3), incompatible with A of shape (2, 2)"),
+    ],
+    ids=["nan", "not-square"],
+)
+def test_bad_q_fails_each_fit_in_its_filter(Q, error, message):
+    """Q is factored before the first outer iteration, yet a bad Q is each fit's filter error, naming Q."""
+    params = ModelParams(A=0.5 * np.eye(2), H=np.eye(2), Q=Q, R=0.1 * np.eye(2), mu0=np.zeros(2), Sigma0=0.1 * np.eye(2))
     observations = np.random.default_rng(0).standard_normal((20, 2))
     points = [Potential("l1", gamma=1.0), Potential("log-sum", gamma=3.0, lam=0.1), Potential("mcp", gamma=3.0, lam=0.1)]
     cfg = EstimatorConfig(potential=points[0])
-    with pytest.raises(NonFiniteError) as lone:
+    with pytest.raises(error) as lone:
         graphit(observations, params, default_init(2), cfg)
     outcomes = [lone.value, *graphit_lockstep(observations, params, default_init(2), cfg, points)]
-    assert [(type(err), str(err)) for err in outcomes] == [(NonFiniteError, "Q contains NaN or infinite values")] * 4
+    assert [(type(err), str(err)) for err in outcomes] == [(error, message)] * 4
 
 
 @given(dr_batches())
