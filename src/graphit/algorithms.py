@@ -24,7 +24,6 @@ for a batch down to one fit; each fit's result has the same bits either way.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Literal
@@ -35,7 +34,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .em_stats import EMStats, compute_stats
 from .exceptions import NonFiniteError, SingularPredictiveCovarianceError, SingularStatisticsError, attempt
 from .kalman import kalman_filter, kalman_filter_lockstep, rts_smoother
-from .model import ModelParams, spectral_norm
+from .model import ModelParams, check_count, spectral_norm
 from .penalties import Potential, penalty_value, weight_matrix
 from .solver import DRConfig, QFactors, douglas_rachford, douglas_rachford_lockstep
 
@@ -52,8 +51,7 @@ class EstimatorConfig:
     def __post_init__(self):
         if not 0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be > 0 and finite, got {self.epsilon}")
-        if not (isinstance(self.max_outer, numbers.Integral) and self.max_outer >= 1):
-            raise ValueError(f"max_outer must be >= 1 and an integer, got {self.max_outer}")
+        check_count(self.max_outer, "max_outer")
 
 
 @dataclass(frozen=True)
@@ -268,8 +266,7 @@ def mlem(
 
 def default_init(N_x: int) -> np.ndarray:
     """Benchmark initialization: entries 0.1^|i-j|, rescaled to spectral norm 0.99."""
-    if N_x < 1:
-        raise ValueError(f"N_x must be >= 1, got {N_x}")
+    check_count(N_x, "N_x")
     idx = np.arange(N_x)
     A = 0.1 ** np.abs(idx[:, None] - idx[None, :]).astype(float)
     return A * (0.99 / spectral_norm(A))

@@ -80,7 +80,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from .exceptions import NonFiniteError, SingularPredictiveCovarianceError, attempt
+from .exceptions import DimensionMismatchError, NonFiniteError, SingularPredictiveCovarianceError, attempt
 from .model import ModelParams, check_transition, validate
 
 # Cholesky-diagonal condition estimate beyond which S_k is treated as singular.
@@ -233,8 +233,8 @@ def _observations(params: ModelParams, observations) -> np.ndarray:
     ys = np.asarray(observations, dtype=float)
     if ys.ndim == 1:
         ys = ys[:, None]
-    if ys.shape[0] < 1 or ys.shape[1] != params.ny:
-        raise ValueError(f"observations must have shape (K, {params.ny}), got {ys.shape}")
+    if ys.ndim != 2 or ys.shape[0] < 1 or ys.shape[1] != params.ny:
+        raise DimensionMismatchError(f"observations must have shape (K, {params.ny}), got {ys.shape}")
     if not np.isfinite(ys).all():
         raise NonFiniteError("observations contain NaN or infinite values")
     return ys

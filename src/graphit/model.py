@@ -12,6 +12,8 @@ reproducible across runs and platforms for a fixed NumPy version.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +74,12 @@ class Trajectory:
 def _rng(seed) -> np.random.Generator:
     # PCG64 is pinned explicitly so simulations are reproducible by contract.
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def check_count(value, name: str) -> None:
+    """Require a size or an iteration cap to be an integer >= 1; the error names it."""
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"{name} must be >= 1 and an integer, got {value}")
 
 
 def _check_finite(M: np.ndarray, name: str) -> None:
@@ -158,38 +166,41 @@ def validate(params: ModelParams, *, semidefinite_ok: bool = False) -> ModelPara
     return params
 
 
+def _each(L: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """L z_k for each row z_k of z, as one stacked matrix-vector product."""
+    return np.matmul(L, z[:, :, None])[:, :, 0]
+
+
 def simulate(params: ModelParams, K: int, seed, *, noiseless: bool = False) -> Trajectory:
     """Draw one trajectory of length K from the model.
 
-    Sampling uses the Cholesky factor of each covariance, consuming standard
-    normals in a fixed order (x_0 first, then q_k, r_k per step), so the
-    result is byte-identical for identical (params, K, seed).
+    Sampling uses the Cholesky factor of each covariance and one draw of
+    N_x + K (N_x + N_y) standard normals, consumed in a fixed order (x_0
+    first, then q_k, r_k per step), so the result is byte-identical for
+    identical (params, K, seed). The drives, the observation noise and the
+    observations are each one stacked product; only the state recursion is a
+    loop. Peak extra memory is O(K (N_x + N_y)), the order of the trajectory.
 
     With ``noiseless=True`` sampling is skipped entirely: x_0 = mu0 and the
     recursion runs without noise, which permits exactly zero covariances.
     """
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    check_count(K, "K")
     validate(params, semidefinite_ok=noiseless)
-    nx, ny = params.nx, params.ny
+    nx, A = params.nx, params.A
     states = np.empty((K + 1, nx))
-    obs = np.empty((K, ny))
-
     if noiseless:
         states[0] = params.mu0
-        for k in range(1, K + 1):
-            states[k] = params.A @ states[k - 1]
-            obs[k - 1] = params.H @ states[k]
-        return Trajectory(states=states, observations=obs)
-
-    rng = _rng(seed)
-    L0 = np.linalg.cholesky(params.Sigma0)
-    LQ = np.linalg.cholesky(params.Q)
-    LR = np.linalg.cholesky(params.R)
-    states[0] = params.mu0 + L0 @ rng.standard_normal(nx)
-    for k in range(1, K + 1):
-        states[k] = params.A @ states[k - 1] + LQ @ rng.standard_normal(nx)
-        obs[k - 1] = params.H @ states[k] + LR @ rng.standard_normal(ny)
+    else:
+        z = _rng(seed).standard_normal(nx + K * (nx + params.ny))
+        steps = z[nx:].reshape(K, -1)
+        states[0] = params.mu0 + np.linalg.cholesky(params.Sigma0) @ z[:nx]
+        drives = _each(np.linalg.cholesky(params.Q), steps[:, :nx])
+    x = states[0]
+    for k in range(K):
+        x = states[k + 1] = A @ x if noiseless else A @ x + drives[k]
+    obs = _each(params.H, states[1:])
+    if not noiseless:
+        obs += _each(np.linalg.cholesky(params.R), steps[:, nx:])
     return Trajectory(states=states, observations=obs)
 
 
@@ -211,10 +222,11 @@ def generate_sparse_A(N_x: int, S: int, target_norm: float = 0.9, seed=0) -> np.
     nonzeros are then rescaled by a single common factor so the spectral norm
     equals `target_norm`. Deterministic given the seed.
     """
-    if not 1 <= S <= N_x * N_x:
-        raise ValueError(f"S must be in [1, {N_x * N_x}], got {S}")
-    if not 0.0 < target_norm:
-        raise ValueError(f"target_norm must be positive, got {target_norm}")
+    check_count(N_x, "N_x")
+    if not (isinstance(S, numbers.Integral) and 1 <= S <= N_x * N_x):
+        raise ValueError(f"S must be an integer in [1, {N_x * N_x}], got {S}")
+    if not 0.0 < target_norm < math.inf:
+        raise ValueError(f"target_norm must be finite and > 0, got {target_norm}")
     rng = _rng(seed)
     flat_idx = rng.choice(N_x * N_x, size=S, replace=False)
     values = rng.standard_normal(S)

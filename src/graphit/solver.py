@@ -24,7 +24,6 @@ iterating, and each stops by its own test, after as many sweeps as alone.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -32,6 +31,7 @@ import numpy as np
 
 from .em_stats import EMStats, q_cholesky, q_quadratic
 from .exceptions import attempt
+from .model import check_count
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,7 @@ class DRConfig:
             raise ValueError(f"relaxation must be in (0, 2), got {self.relaxation}")
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be > 0 and finite, got {self.tol}")
-        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
-            raise ValueError(f"max_iter must be >= 1 and an integer, got {self.max_iter}")
+        check_count(self.max_iter, "max_iter")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,10 @@ one dense Kronecker-form solve, and the inner-problem oracle is a plain
 proximal-gradient loop. `reference_douglas_rachford` is the library's
 Douglas-Rachford loop as it was before its sweep was restructured: one
 temporary per operation, both factorizations per call, so the rewritten
-solver can be checked iterate for iterate.
+solver can be checked iterate for iterate. `reference_simulate` is the
+library's sampler as it was before its draws and products were stacked: one
+generator call and one matrix-vector product per noise vector, so the stream
+order and the bytes of every trajectory can be checked.
 
 The library holds filter and smoother covariances in run-length form;
 `dense_filter` and `dense_smoother` expand them to one row per step, and
@@ -26,7 +29,7 @@ from scipy.linalg import cho_factor, cho_solve
 from graphit.em_stats import q_quadratic
 from graphit.exceptions import SingularPredictiveCovarianceError
 from graphit.kalman import FilterRun, SmootherRun
-from graphit.model import ModelParams
+from graphit.model import ModelParams, Trajectory, validate
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -200,6 +203,31 @@ def reference_smoother(params: ModelParams, run: FilterRun) -> SmootherRun:
         covs[k] = _sym(Sigma_k + G @ (covs[k + 1] - P_pred) @ G.T)
         gains[k] = G
     return smoother_run(means, covs, gains)
+
+
+def reference_simulate(params: ModelParams, K: int, seed, *, noiseless: bool = False) -> Trajectory:
+    """`simulate` one step at a time: x_0, then q_k and r_k drawn per step."""
+    validate(params, semidefinite_ok=noiseless)
+    nx, ny = params.nx, params.ny
+    states = np.empty((K + 1, nx))
+    obs = np.empty((K, ny))
+
+    if noiseless:
+        states[0] = params.mu0
+        for k in range(1, K + 1):
+            states[k] = params.A @ states[k - 1]
+            obs[k - 1] = params.H @ states[k]
+        return Trajectory(states=states, observations=obs)
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    L0 = np.linalg.cholesky(params.Sigma0)
+    LQ = np.linalg.cholesky(params.Q)
+    LR = np.linalg.cholesky(params.R)
+    states[0] = params.mu0 + L0 @ rng.standard_normal(nx)
+    for k in range(1, K + 1):
+        states[k] = params.A @ states[k - 1] + LQ @ rng.standard_normal(nx)
+        obs[k - 1] = params.H @ states[k] + LR @ rng.standard_normal(ny)
+    return Trajectory(states=states, observations=obs)
 
 
 def prox_quadratic_oracle(V, stats, Q, step):

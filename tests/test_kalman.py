@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 
 from graphit import (
+    DimensionMismatchError,
     GraphitError,
     ModelParams,
     NonFiniteError,
+    Potential,
     SingularPredictiveCovarianceError,
     compute_stats,
     kalman_filter,
     rts_smoother,
     simulate,
 )
+from graphit.algorithms import EstimatorConfig, graphit, graphit_lockstep
 from graphit.kalman import _double, _steps
 
 from oracles import dense_filter, dense_smoother, nll_oracle, random_stable_params, smoother_oracle
@@ -86,9 +89,19 @@ class TestKalmanFilter:
         assert exc.value.step == 1
 
     def test_rejects_wrong_observation_width(self):
-        params = _scalar_params()
-        with pytest.raises(ValueError):
-            kalman_filter(params, np.ones((4, 2)))
+        """Observations of the wrong rank or shape are a typed error; each lockstep fit gets it as its entry."""
+        params, A0 = _scalar_params(Q=0.1), np.array([[0.5]])
+        cfg = EstimatorConfig(potential=Potential("l1", gamma=1.0))
+        points = [Potential("l1", gamma=g) for g in (1.0, 2.0)]
+        # wrong width, rank 3, rank 0, no rows as a matrix and as a vector
+        match = r"^observations must have shape \(K, 1\), got "
+        for observations in (np.ones((4, 2)), np.ones((4, 1, 1)), np.array(1.0), np.ones((0, 1)), np.ones(0)):
+            with pytest.raises(DimensionMismatchError, match=match):
+                kalman_filter(params, observations)
+            with pytest.raises(DimensionMismatchError, match=match):
+                graphit(observations, params, A0, cfg)
+            outcomes = graphit_lockstep(observations, params, A0, cfg, points)
+            assert [type(outcome) for outcome in outcomes] == [DimensionMismatchError] * 2
 
     def test_nan_observation_raises_non_finite(self):
         params = random_stable_params(np.random.default_rng(4), nx=3, ny=2)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphit import (
     DimensionMismatchError,
@@ -12,6 +14,9 @@ from graphit import (
     spectral_norm,
     validate,
 )
+from graphit.algorithms import default_init
+
+from oracles import random_spd, reference_simulate
 
 
 def _identity_params(nx=2, ny=2):
@@ -119,8 +124,38 @@ class TestSimulate:
         assert np.all(np.abs(mean) < 5.0 / np.sqrt(K))
 
     def test_rejects_bad_horizon(self):
-        with pytest.raises(ValueError):
-            simulate(_identity_params(), K=0, seed=0)
+        for K in (0, -1, 2.5, 3.0, np.nan, np.inf, "3"):
+            with pytest.raises(ValueError, match=f"^K must be >= 1 and an integer, got {K}$"):
+                simulate(_identity_params(), K=K, seed=0)
+
+    @given(
+        nx=st.integers(1, 12),
+        ny=st.integers(1, 12),
+        K=st.integers(1, 120),
+        q_scale=st.floats(1e-6, 1e2),
+        r_scale=st.floats(1e-6, 1e2),
+        noiseless=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_per_step_sampler_byte_for_byte(self, nx, ny, K, q_scale, r_scale, noiseless, seed):
+        """One draw and stacked products give the stream and the bytes of the per-step sampler."""
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((nx, nx))
+        A *= 0.95 / np.max(np.abs(np.linalg.eigvals(A)))
+        mu0 = rng.standard_normal(nx)
+        mu0[::2] = -0.0  # a noiseless x_0 is mu0, signed zeros included
+        params = ModelParams(
+            A=A,
+            H=rng.standard_normal((ny, nx)),
+            Q=q_scale * random_spd(rng, nx),
+            R=r_scale * random_spd(rng, ny),
+            mu0=mu0,
+            Sigma0=random_spd(rng, nx),
+        )
+        got = simulate(params, K, seed, noiseless=noiseless)
+        want = reference_simulate(params, K, seed, noiseless=noiseless)
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.observations.tobytes() == want.observations.tobytes()
 
 
 class TestSpectralNorm:
@@ -174,7 +209,17 @@ class TestGenerateSparseA:
             assert spectral_norm(A) < 1.0
 
     def test_rejects_bad_support(self):
-        with pytest.raises(ValueError):
-            generate_sparse_A(3, 0)
-        with pytest.raises(ValueError):
-            generate_sparse_A(3, 10)
+        for S in (0, 10, 2.5, np.nan):
+            with pytest.raises(ValueError, match=f"^S must be an integer in \\[1, 9\\], got {S}$"):
+                generate_sparse_A(3, S)
+
+    @pytest.mark.parametrize("N_x", [0, 2.5, 4.0, np.nan])
+    def test_rejects_bad_size(self, N_x):
+        for make in (lambda: generate_sparse_A(N_x, 2), lambda: default_init(N_x)):
+            with pytest.raises(ValueError, match=f"^N_x must be >= 1 and an integer, got {N_x}$"):
+                make()
+
+    @pytest.mark.parametrize("target_norm", [0.0, -1.0, np.inf, np.nan])
+    def test_rejects_bad_target_norm(self, target_norm):
+        with pytest.raises(ValueError, match=f"^target_norm must be finite and > 0, got {target_norm}$"):
+            generate_sparse_A(4, 3, target_norm=target_norm)

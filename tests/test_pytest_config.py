@@ -1,0 +1,29 @@
+"""The project's pytest settings make a mistyped ini key or marker an error, not a warning."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+PYPROJECT = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+TABLE = "[tool.pytest.ini_options]\n"
+
+
+@pytest.mark.parametrize(
+    "key, test, message",
+    [
+        ("xfail_stict = true\n", "def test_a():\n    pass\n", "Unknown config option: xfail_stict"),
+        ("", "import pytest\n\n@pytest.mark.slwo\ndef test_a():\n    pass\n", "'slwo' not found in `markers`"),
+    ],
+    ids=["ini-key", "marker"],
+)
+def test_a_typo_fails_collection(tmp_path, key, test, message):
+    (tmp_path / "pyproject.toml").write_text(PYPROJECT.replace(TABLE, TABLE + key))
+    (tmp_path / "test_a.py").write_text(test)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--collect-only", "test_a.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert run.returncode != 0
+    assert message in run.stdout + run.stderr
