@@ -22,7 +22,7 @@ class NotPositiveDefiniteError(GraphitError, ValueError):
 
 
 class NonFiniteError(GraphitError, ValueError):
-    """An observation, a covariance or the likelihood is NaN or infinite."""
+    """An observation, a covariance or the likelihood is NaN or infinite, or an observation is not a real number."""
 
 
 class SingularPredictiveCovarianceError(GraphitError, RuntimeError):

@@ -60,15 +60,11 @@ transient gains.
 Several models that differ in A only, as the fits of a grid search at one
 outer iteration, can share the filter's covariance loop.
 `kalman_filter_lockstep` makes each step of that pass once over the stack of
-the models still running (`_filter_passes`). Each stacked step makes the 2-D
-step's operations, so each model gets the 2-D bits. The smoother runs per
+all the models (`_filter_passes`); a model that has settled or failed keeps
+its slice but is no longer factored or recorded. Each stacked step makes the
+2-D step's operations, so each model gets the 2-D bits. The smoother runs per
 model. The caller keeps single fits on the 2-D `kalman_filter`, whose
 `ndarray.dot` calls dispatch faster than stacked `@`.
-
-At n_x = 8, K = 1000 (the `table2-8-4` data at `default_init(8)`) one
-E-step, filter, smoother and `compute_stats`, takes about 1.5 ms at best and
-2.5 ms in the median of 400 calls; at n_x = 4, K = 60, about 1.1 ms at best
-(2-core x86-64 VM, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -230,7 +226,13 @@ class _FilterPass:
 def _observations(params: ModelParams, observations) -> np.ndarray:
     """The observations as a finite (K, N_y) array, once the model has been validated."""
     validate(params, semidefinite_ok=True)
-    ys = np.asarray(observations, dtype=float)
+    try:
+        ys = np.asarray(observations)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise DimensionMismatchError(f"observations must have shape (K, {params.ny}), got a ragged sequence") from None
+    if ys.dtype.kind not in "biuf":
+        raise NonFiniteError("observations must be finite real numbers")
+    ys = ys.astype(float, copy=False)
     if ys.ndim == 1:
         ys = ys[:, None]
     if ys.ndim != 2 or ys.shape[0] < 1 or ys.shape[1] != params.ny:
@@ -276,20 +278,22 @@ def _filter_pass(params: ModelParams, K: int) -> _FilterPass:
 def _filter_passes(params: Sequence[ModelParams], K: int) -> list[_FilterPass]:
     """`_filter_pass` at each of several parameter sets that differ in A only, in lockstep.
 
-    Each step makes the 2-D step's products once over the stack of the points
-    still running. A stacked product computes each slice by the BLAS call that
+    Each step makes the 2-D step's products once over the stack of all the
+    points. A stacked product computes each slice by the BLAS call that
     `ndarray.dot` makes, so every value is the 2-D pass's. The factorizations
     stay per slice, because numpy's stacked Cholesky rounds differently from
-    `dpotrf`. A point leaves the stack at the step where it settles or fails.
+    `dpotrf`. A point that has settled or failed keeps its slice but gets no
+    more factorizations or records, and the pass ends once every point has.
     """
     H, Q, R = params[0].H, params[0].Q, params[0].R
     Ht, I = H.T, np.eye(params[0].nx)
     passes = [_FilterPass() for _ in params]
-    live = passes  # the passes still running, in stack order
+    running = list(range(len(passes)))  # the points neither settled nor failed
     A = np.array([p.A for p in params])
     At = A.transpose(0, 2, 1)
     Sigma = params[0].Sigma0
-    settled = np.zeros(len(live), dtype=bool)
+    settled = np.zeros(len(passes), dtype=bool)
+    # A failed or settled point's slice rides on unread, and may overflow to NaN.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
             cross = A @ Sigma
@@ -297,36 +301,32 @@ def _filter_passes(params: Sequence[ModelParams], K: int) -> list[_FilterPass]:
             PHt = P_pred @ Ht
             S = _sym_each(H @ PHt + R)
             gain = np.zeros_like(PHt)
-            for j, (run, S_j, PHt_j) in enumerate(zip(live, S, PHt)):
-                L, info = dpotrf(S_j, lower=1)
-                run.factors.append(L)
+            for j in running:
+                L, info = dpotrf(S[j], lower=1)
+                passes[j].factors.append(L)
                 if info:
-                    run.failed = True
+                    passes[j].failed = True
                 else:
-                    gain[j] = dpotrs(L, PHt_j.T, lower=1)[0].T
+                    gain[j] = dpotrs(L, PHt[j].T, lower=1)[0].T
             IGH = I - gain @ H
             Sigma = _sym_each(IGH @ P_pred @ IGH.transpose(0, 2, 1) + gain @ R @ gain.transpose(0, 2, 1))
             if k:
                 settled = _settled_each(Sigma, prev_Sigma, P_pred)
                 if settled.any():
                     settled &= _settled_each(S, prev_S, S)
-            keep = []
-            for run, Sigma_j, S_j, P_j, cross_j, gain_j, steady in zip(live, Sigma, S, P_pred, cross, gain, settled):
+            for j in running:
+                run = passes[j]
                 if not run.failed:
-                    run.covs.append(Sigma_j)
-                    run.pred_covs.append(S_j)
-                    run.preds.append(P_j)
-                    run.crosses.append(cross_j)
-                    run.gains.append(gain_j)
-                    if steady:
+                    run.covs.append(Sigma[j])
+                    run.pred_covs.append(S[j])
+                    run.preds.append(P_pred[j])
+                    run.crosses.append(cross[j])
+                    run.gains.append(gain[j])
+                    if settled[j]:
                         run.steady_step = k + 1
-                keep.append(not (run.failed or steady))
-            if not all(keep):
-                live = [run for run, kept in zip(live, keep) if kept]
-                if not live:
-                    break
-                A, Sigma, S = A[keep], Sigma[keep], S[keep]
-                At = A.transpose(0, 2, 1)
+            running = [j for j in running if not (passes[j].failed or passes[j].steady_step)]
+            if not running:
+                break
             prev_Sigma, prev_S = Sigma, S
     return passes
 

@@ -72,6 +72,10 @@ class Trajectory:
 
 
 def _rng(seed) -> np.random.Generator:
+    """The generator of `seed`: an integer >= 0, a SeedSequence or None, else a ValueError names it."""
+    integer = isinstance(seed, numbers.Integral) and seed >= 0
+    if not (integer or seed is None or isinstance(seed, np.random.SeedSequence)):
+        raise ValueError(f"seed must be an integer >= 0, a SeedSequence or None, got {seed!r}")
     # PCG64 is pinned explicitly so simulations are reproducible by contract.
     return np.random.Generator(np.random.PCG64(seed))
 
@@ -182,16 +186,18 @@ def simulate(params: ModelParams, K: int, seed, *, noiseless: bool = False) -> T
     loop. Peak extra memory is O(K (N_x + N_y)), the order of the trajectory.
 
     With ``noiseless=True`` sampling is skipped entirely: x_0 = mu0 and the
-    recursion runs without noise, which permits exactly zero covariances.
+    recursion runs without noise, which permits exactly zero covariances; the
+    seed is still checked.
     """
     check_count(K, "K")
+    rng = _rng(seed)
     validate(params, semidefinite_ok=noiseless)
     nx, A = params.nx, params.A
     states = np.empty((K + 1, nx))
     if noiseless:
         states[0] = params.mu0
     else:
-        z = _rng(seed).standard_normal(nx + K * (nx + params.ny))
+        z = rng.standard_normal(nx + K * (nx + params.ny))
         steps = z[nx:].reshape(K, -1)
         states[0] = params.mu0 + np.linalg.cholesky(params.Sigma0) @ z[:nx]
         drives = _each(np.linalg.cholesky(params.Q), steps[:, :nx])

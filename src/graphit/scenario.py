@@ -10,11 +10,13 @@ from __future__ import annotations
 import configparser
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .algorithms import EstimatorConfig
 from .exceptions import ConfigError
+from .model import check_count
 from .penalties import SHAPE_FIELD, Potential
 from .solver import DRConfig
 
@@ -46,22 +48,22 @@ class Scenario:
     target_norm: float = 0.9
 
     def __post_init__(self):
-        if min(self.n_x, self.n_y, self.k, self.n_realizations) < 1:
-            raise ConfigError("dimensions, horizon and realization count must be positive")
-        if not 1 <= self.s <= self.n_x * self.n_x:
-            raise ConfigError(f"support size s={self.s} outside [1, {self.n_x * self.n_x}]")
+        try:
+            for name in ("n_x", "n_y", "k", "n_realizations"):
+                check_count(getattr(self, name), name)
+            EstimatorConfig(epsilon=self.epsilon, max_outer=self.max_outer)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
+        if not (isinstance(self.s, numbers.Integral) and 1 <= self.s <= self.n_x * self.n_x):
+            raise ConfigError(f"s must be an integer in [1, {self.n_x * self.n_x}], got {self.s}")
         if not all(0 < sigma < math.inf for sigma in (self.sigma_q, self.sigma_r, self.sigma_0)):
             raise ConfigError("sigma_q, sigma_r and sigma_0 must be finite and > 0")
         if not 0 <= self.edge_threshold < math.inf:
             raise ConfigError(f"edge_threshold must be >= 0 and finite, got {self.edge_threshold}")
         if not 0 < self.target_norm < math.inf:
             raise ConfigError(f"target_norm must be finite and > 0, got {self.target_norm}")
-        try:
-            EstimatorConfig(epsilon=self.epsilon, max_outer=self.max_outer)
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+        if not (isinstance(self.master_seed, numbers.Integral) and self.master_seed >= 0):
+            raise ConfigError(f"master_seed must be an integer >= 0, got {self.master_seed}")
         if not self.methods:
             raise ConfigError("at least one method must be selected")
         for i, m in enumerate(self.methods):

@@ -17,8 +17,9 @@ G and B fixed for the solve, so a sweep is four small matrix products plus
 entrywise passes over preallocated buffers.
 
 `douglas_rachford_lockstep` solves several problems with one Q at once: one
-prox holds them all as a stack, each sweep runs once over the problems still
-iterating, and each stops by its own test, after as many sweeps as alone.
+prox holds them all as a stack, each sweep runs once over the whole stack,
+and each problem stops by its own test, after as many sweeps as alone; a
+problem that has stopped keeps its slice until the last one stops.
 """
 
 from __future__ import annotations
@@ -130,11 +131,6 @@ class _QuadraticProx:
         self._G = scaled / denom
         self._B = (self._Ut @ Delta @ W) / denom
         self._left, self._inner = np.empty_like(denom), np.empty_like(denom)
-
-    def keep(self, rows) -> None:
-        """Keep the solves `rows` (an index or a mask) of a stack only."""
-        self._W, self._Wt, self._G, self._B = self._W[rows], self._Wt[rows], self._G[rows], self._B[rows]
-        self._left, self._inner = np.empty_like(self._B), np.empty_like(self._B)
 
     def __call__(self, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         product = self._product
@@ -274,10 +270,11 @@ def douglas_rachford_lockstep(
 ) -> list:
     """`douglas_rachford` of each problem (stats, Omega, A_init), all with one Q, in lockstep.
 
-    Each sweep runs once over the stack of the problems still iterating, with
-    the 2-D sweep's operations, so each slice takes the 2-D values (see
-    `_QuadraticProx` and `_norms`). A problem leaves the stack when it meets its
-    tolerance, so each stops after as many sweeps as it would alone. Each
+    Each sweep runs once over the stack of all the problems, with the 2-D
+    sweep's operations, so each slice takes the 2-D values (see
+    `_QuadraticProx` and `_norms`). A problem is recorded at the sweep where it
+    meets its tolerance, so each stops after as many sweeps as it would alone;
+    its slice sweeps on, unread, until none is left running. Each
     entry is the SolverReport of its problem, or the error in `FIT_ERRORS`
     that `douglas_rachford` raises there.
     """
@@ -293,6 +290,7 @@ def douglas_rachford_lockstep(
     z = np.array([problems[j][2] for j in live], dtype=float)
     c, v, y, x, x_prev = (np.empty_like(z) for _ in range(5))
     norms = residuals = np.full(len(live), math.inf)
+    running = np.ones(len(live), dtype=bool)
     finished = {}  # problem -> (x, iterations, residual, converged)
     for n in range(1, cfg.max_iter + 1):
         x, x_prev = x_prev, x
@@ -301,19 +299,16 @@ def douglas_rachford_lockstep(
             np.subtract(x, x_prev, out=v)
             residuals = _norms(v)
             done = residuals <= cfg.tol * (1.0 + norms)
+            done &= running
             if done.any():
                 for row in np.flatnonzero(done):
                     finished[live[row]] = (x[row].copy(), n, float(residuals[row]), True)
-                keep = ~done
-                live = [j for j, kept in zip(live, keep) if kept]
-                if not live:
+                running &= ~done
+                if not running.any():
                     break
-                z, t, neg_t, x, residuals = z[keep], t[keep], neg_t[keep], x[keep], residuals[keep]
-                c, v, y, x_prev = (np.empty_like(z) for _ in range(4))
-                prox_q.keep(keep)
         norms = _norms(x)
-    for row, j in enumerate(live):
-        finished[j] = (x[row].copy(), cfg.max_iter, float(residuals[row]), False)
+    for row in np.flatnonzero(running):
+        finished[live[row]] = (x[row].copy(), cfg.max_iter, float(residuals[row]), False)
 
     for j, (x, n, residual, converged) in finished.items():
         stats, Omega, A_init = problems[j]

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib.util
 import io
 import json
@@ -152,6 +153,28 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError):
             small_scenario(sigma_q=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("n_x", 2.5, r"^n_x must be >= 1 and an integer, got 2\.5$"),
+            ("n_y", 4.0, r"^n_y must be >= 1 and an integer, got 4\.0$"),
+            ("k", 10.5, r"^k must be >= 1 and an integer, got 10\.5$"),
+            ("k", 0, r"^k must be >= 1 and an integer, got 0$"),
+            ("n_realizations", 1.5, r"^n_realizations must be >= 1 and an integer, got 1\.5$"),
+            ("s", 2.5, r"^s must be an integer in \[1, 16\], got 2\.5$"),
+            ("s", 17, r"^s must be an integer in \[1, 16\], got 17$"),
+            ("master_seed", 2.5, r"^master_seed must be an integer >= 0, got 2\.5$"),
+            ("master_seed", -1, r"^master_seed must be an integer >= 0, got -1$"),
+        ],
+    )
+    def test_sizes_and_seed_are_integers(self, field, value, match):
+        """A non-integer size or seed is a ConfigError naming the field, also from `dataclasses.replace`
+        (as on the way to `run_benchmark`), not a raw error inside the harness."""
+        with pytest.raises(ConfigError, match=match):
+            small_scenario(**{field: value})
+        with pytest.raises(ConfigError, match=match):
+            dataclasses.replace(small_scenario(), **{field: value})
+
 
 class TestLoadScenario:
     def test_parses_quick_config(self, tmp_path):
@@ -199,6 +222,18 @@ class TestLoadScenario:
         for cfg in sorted(root.glob("*.cfg")):
             scenario = load_scenario(cfg)
             assert scenario.n_realizations >= 1
+
+    def test_readme_config_example_loads(self, tmp_path):
+        """The README's documented config, comments included, is a file that `load_scenario` reads."""
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("### Scenario config files"):]
+        cfg = tmp_path / "example.cfg"
+        cfg.write_text(re.search(r"```ini\n(.*?)```", section, re.DOTALL).group(1))
+        scenario = load_scenario(cfg)
+        assert (scenario.scenario_id, scenario.n_x, scenario.n_y, scenario.s, scenario.k) == ("table2-8-4", 8, 8, 4, 1000)
+        assert (scenario.n_realizations, scenario.master_seed, scenario.target_norm) == (10, 2027, 0.9)
+        assert scenario.potentials["graphit"] == Potential("log-sum", gamma=100.0, lam=0.0316)
+        assert len(scenario.grids["graphit"]) == 15 and len(scenario.grids["graphem"]) == 5
 
 
 class TestRunBenchmark:

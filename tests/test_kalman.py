@@ -103,6 +103,30 @@ class TestKalmanFilter:
             outcomes = graphit_lockstep(observations, params, A0, cfg, points)
             assert [type(outcome) for outcome in outcomes] == [DimensionMismatchError] * 2
 
+    @pytest.mark.parametrize(
+        "observations, error, match",
+        [
+            ([[1.0], [2.0, 3.0]], DimensionMismatchError, r"^observations must have shape \(K, 1\), got a ragged sequence$"),
+            ("ab", NonFiniteError, "^observations must be finite real numbers$"),
+            (["1.0", "2.0"], NonFiniteError, "^observations must be finite real numbers$"),
+            ([[1.0], [None]], NonFiniteError, "^observations must be finite real numbers$"),
+            (np.ones((4, 1)) + 1j, NonFiniteError, "^observations must be finite real numbers$"),
+        ],
+        ids=["ragged", "string", "numeric-strings", "object", "complex"],
+    )
+    def test_rejects_ragged_or_non_real_observations(self, observations, error, match):
+        """Ragged, non-numeric and complex observations are typed errors; each lockstep fit gets it as its entry."""
+        params, A0 = _scalar_params(Q=0.1), np.array([[0.5]])
+        cfg = EstimatorConfig(potential=Potential("l1", gamma=1.0))
+        points = [Potential("l1", gamma=g) for g in (1.0, 2.0)]
+        with pytest.raises(error, match=match):
+            kalman_filter(params, observations)
+        with pytest.raises(error, match=match):
+            graphit(observations, params, A0, cfg)
+        outcomes = graphit_lockstep(observations, params, A0, cfg, points)
+        assert [type(outcome) for outcome in outcomes] == [error] * 2
+        assert [str(outcome) for outcome in outcomes] == [str(outcomes[0])] * 2
+
     def test_nan_observation_raises_non_finite(self):
         params = random_stable_params(np.random.default_rng(4), nx=3, ny=2)
         ys = np.ones((10, 2))

@@ -9,6 +9,7 @@ rests on; the others compare whole passes, solves and fits.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,29 @@ def test_lockstep_filter_checks_each_transition_matrix(bad_sets, shared):
             lone = attempt(kalman.kalman_filter, p, observations)
             assert outcome_bytes(run, FILTER_FIELDS) == outcome_bytes(lone, FILTER_FIELDS)
     assert str(filters[bad_sets[0]]) == "A contains NaN or infinite values"
+
+
+def test_finished_points_ride_the_filter_pass_without_warnings():
+    """A failed point and a settled one keep their slices while another runs to K, and nothing warns.
+
+    With Q = 0 the random walk A = I never settles, so the pass runs to K. The
+    point at 1.3 I settles and then rides without measurement updates, growing
+    until it overflows; the point at 1e160 I fails at step 1 and rides as NaN.
+    """
+    n, K = 2, 3000
+    base = ModelParams(A=np.eye(n), H=np.eye(n), Q=np.zeros((n, n)), R=0.1 * np.eye(n),
+                       mu0=np.zeros(n), Sigma0=np.eye(n))
+    params = [dataclasses.replace(base, A=scale * np.eye(n)) for scale in (1.0, 1e160, 1.3)]
+    observations = np.random.default_rng(5).standard_normal((K, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        filters = kalman.kalman_filter_lockstep(params, observations)
+    assert filters[0].steady_step is None and isinstance(filters[1], NonFiniteError)
+    assert filters[2].steady_step < K - math.log(np.finfo(float).max) / math.log(1.3**2)  # rides into overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        for run, p in zip(filters, params):
+            lone = attempt(kalman.kalman_filter, p, observations)
+            assert outcome_bytes(run, FILTER_FIELDS) == outcome_bytes(lone, FILTER_FIELDS)
 
 
 @given(n_x=st.integers(1, 8), n_y=st.integers(1, 8), K=st.integers(1, 40), batch=st.integers(1, 6), seed=seeds)

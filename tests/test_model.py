@@ -223,3 +223,27 @@ class TestGenerateSparseA:
     def test_rejects_bad_target_norm(self, target_norm):
         with pytest.raises(ValueError, match=f"^target_norm must be finite and > 0, got {target_norm}$"):
             generate_sparse_A(4, 3, target_norm=target_norm)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, "x", np.nan, [1, 2]], ids=repr)
+def test_rejects_bad_seed(seed):
+    """A seed that is not an integer >= 0, a SeedSequence or None is a ValueError naming it, in both modes."""
+    match = "^seed must be an integer >= 0, a SeedSequence or None, got "
+    makes = (
+        lambda: simulate(_identity_params(), 3, seed),
+        lambda: simulate(_identity_params(), 3, seed, noiseless=True),
+        lambda: generate_sparse_A(3, 2, 0.9, seed),
+    )
+    for make in makes:
+        with pytest.raises(ValueError, match=match):
+            make()
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 7, np.int64(7), np.random.SeedSequence(7), None], ids=["0", "7", "int64", "SeedSequence", "None"]
+)
+def test_accepts_integer_seeds_seed_sequences_and_none(seed):
+    assert simulate(_identity_params(), 3, seed).observations.shape == (3, 2)
+    assert np.count_nonzero(generate_sparse_A(3, 2, 0.9, seed)) == 2
+    if seed is not None:
+        assert np.array_equal(generate_sparse_A(3, 2, 0.9, seed), generate_sparse_A(3, 2, 0.9, seed))
