@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -125,7 +126,7 @@ class TestKalmanFilter:
             graphit(observations, params, A0, cfg)
         outcomes = graphit_lockstep(observations, params, A0, cfg, points)
         assert [type(outcome) for outcome in outcomes] == [error] * 2
-        assert [str(outcome) for outcome in outcomes] == [str(outcomes[0])] * 2
+        assert all(re.search(match, str(outcome)) for outcome in outcomes)
 
     def test_nan_observation_raises_non_finite(self):
         params = random_stable_params(np.random.default_rng(4), nx=3, ny=2)
