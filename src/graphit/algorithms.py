@@ -31,12 +31,12 @@ from typing import Literal
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .em_stats import EMStats, compute_stats
+from .em_stats import EMStats, QFactors, compute_stats
 from .exceptions import NonFiniteError, SingularPredictiveCovarianceError, SingularStatisticsError, attempt
 from .kalman import kalman_filter, kalman_filter_lockstep, rts_smoother
 from .model import ModelParams, check_count, spectral_norm
 from .penalties import Potential, penalty_value, weight_matrix
-from .solver import DRConfig, QFactors, douglas_rachford, douglas_rachford_lockstep
+from .solver import DRConfig, douglas_rachford, douglas_rachford_lockstep
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,10 @@ steps with the same (Sigma_k^s, G_{k-1}) pair: each pair enters once,
 weighted by the length of its run, in one product over all runs. A smoother
 run whose covariances settle has a few dozen runs whatever K; when they
 never settle, every step is a run of its own.
+
+Q enters the bound through Q^{-1} and the M-step's prox through Q's
+eigendecomposition. `QFactors.of` is the only code that checks Q and factors
+it, once per fit; the bound and the Douglas-Rachford solver take its factors.
 """
 
 from __future__ import annotations
@@ -57,31 +61,44 @@ def compute_stats(smoother: SmootherRun) -> EMStats:
     return EMStats(Psi=Psi, Phi=0.5 * (Phi + Phi.T), Delta=Delta)
 
 
-def q_cholesky(Q: np.ndarray) -> np.ndarray:
-    """Q's lower Cholesky factor by `dpotrf`, which factors a NaN without complaint: hence the first test."""
-    Q = np.asarray(Q, dtype=float)
-    if not np.isfinite(Q).all():
-        raise NonFiniteError("Q is not finite, which the M-step needs")
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise DimensionMismatchError(f"Q must be square, got shape {Q.shape}")
-    factor, info = dpotrf(Q, lower=1)
-    if info:
-        raise NotPositiveDefiniteError("Q is not positive definite, which the M-step needs")
-    return factor
+@dataclass(frozen=True)
+class QFactors:
+    """The factorizations of Q that every M-step of one fit shares, and the only check of Q.
+
+    Q = U diag(lam) U^T, and `cholesky` is Q's lower Cholesky factor by `dpotrf`,
+    which factors a NaN without complaint: hence the finite check first.
+    """
+
+    lam: np.ndarray
+    U: np.ndarray
+    cholesky: np.ndarray
+
+    @classmethod
+    def of(cls, Q: np.ndarray) -> QFactors:
+        Q = np.asarray(Q, dtype=float)
+        if not np.isfinite(Q).all():
+            raise NonFiniteError("Q is not finite, which the M-step needs")
+        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
+            raise DimensionMismatchError(f"Q must be square, got shape {Q.shape}")
+        cholesky, info = dpotrf(Q, lower=1)
+        if info:
+            raise NotPositiveDefiniteError("Q is not positive definite, which the M-step needs")
+        lam, U = np.linalg.eigh(Q)
+        return cls(lam=lam, U=U, cholesky=cholesky)
 
 
-def q_quadratic(A: np.ndarray, stats: EMStats, Q: np.ndarray, Q_cholesky: np.ndarray | None = None) -> float:
+def q_quadratic(A: np.ndarray, stats: EMStats, Q: np.ndarray, q_factors: QFactors | None = None) -> float:
     """Quadratic transition term of the EM bound.
 
     Returns 1/2 tr(Q^{-1} (Psi - Delta A^T - A Delta^T + A Phi A^T)),
     evaluated through a Cholesky solve against Q by `dpotrs`. A caller holding
-    `Q_cholesky = q_cholesky(Q)` passes it to skip the factorization.
+    `q_factors = QFactors.of(Q)` passes it to skip the factorization.
     """
-    if Q_cholesky is None:
-        Q_cholesky = q_cholesky(Q)
+    if q_factors is None:
+        q_factors = QFactors.of(Q)
     # A Delta^T is (Delta A^T)^T bit for bit, and `ndarray.dot` makes `@`'s BLAS products.
     cross = stats.Delta.dot(A.T)
     inner = stats.Psi - cross - cross.T + A.dot(stats.Phi).dot(A.T)
     if not np.isfinite(inner).all():
         raise NonFiniteError("the quadratic term of the EM bound is not finite")
-    return 0.5 * float(np.trace(dpotrs(Q_cholesky, inner, lower=1)[0]))
+    return 0.5 * float(np.trace(dpotrs(q_factors.cholesky, inner, lower=1)[0]))

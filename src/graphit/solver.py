@@ -10,8 +10,9 @@ entrywise soft-thresholding, V - clip(V, -t, t); the quadratic part is a
 Sylvester-type positive definite linear solve, diagonalized by the symmetric
 eigendecompositions of Q and Phi for every Q.
 
-Q is fixed for a whole fit, so `graphit` factors it once (`QFactors`: its
-eigendecomposition and Cholesky factor) and each solve adds one eigh(Phi).
+Q is fixed for a whole fit, so `graphit` factors it once (`em_stats.QFactors`,
+the only code that checks and factors Q: its eigendecomposition and Cholesky
+factor) and each solve adds one eigh(Phi).
 In those eigenbases the quadratic prox is y = U (G . (U^T v W) + B) W^T with
 G and B fixed for the solve, so a sweep is four small matrix products plus
 entrywise passes over preallocated buffers.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em_stats import EMStats, q_cholesky, q_quadratic
+from .em_stats import EMStats, QFactors, q_quadratic
 from .exceptions import attempt
 from .model import check_count
 
@@ -70,24 +71,6 @@ class SolverReport:
     final_residual: float
     converged: bool
     fell_back: bool
-
-
-@dataclass(frozen=True)
-class QFactors:
-    """The factorizations of Q that every solve of one fit shares.
-
-    Q = U diag(lam) U^T, and `cholesky` is Q's lower Cholesky factor (`q_cholesky`).
-    """
-
-    lam: np.ndarray
-    U: np.ndarray
-    cholesky: np.ndarray
-
-    @classmethod
-    def of(cls, Q: np.ndarray) -> QFactors:
-        cholesky = q_cholesky(Q)
-        lam, U = np.linalg.eigh(Q)
-        return cls(lam=lam, U=U, cholesky=cholesky)
 
 
 def _clip(V: np.ndarray, t: np.ndarray, neg_t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -144,34 +127,26 @@ class _QuadraticProx:
 
 def prox_quadratic(V: np.ndarray, stats: EMStats, Q: np.ndarray, step: float) -> np.ndarray:
     """Proximal map of the quadratic term: argmin_A q(A) + ||A - V||_F^2 / (2 step)."""
-    lam, U = np.linalg.eigh(Q)
+    q_factors = QFactors.of(Q)
     m, W = np.linalg.eigh(stats.Phi)
-    return _QuadraticProx(stats.Delta, lam, U, m, W, step)(V)
+    return _QuadraticProx(stats.Delta, q_factors.lam, q_factors.U, m, W, step)(V)
 
 
 def surrogate_value(
-    A: np.ndarray, stats: EMStats, Q: np.ndarray, Omega: np.ndarray, Q_cholesky: np.ndarray | None = None
+    A: np.ndarray, stats: EMStats, Q: np.ndarray, Omega: np.ndarray, q_factors: QFactors | None = None
 ) -> float:
-    """Full inner objective q(A) + ||Omega . A||_1 (`Q_cholesky` as in `q_quadratic`)."""
-    return q_quadratic(A, stats, Q, Q_cholesky) + float(np.sum(Omega * np.abs(A)))
-
-
-def _prox_scale(step: float, phi_eigenvalues: np.ndarray, q_eigenvalues: np.ndarray) -> float:
-    curvature = float(phi_eigenvalues.max()) / float(q_eigenvalues.min())
-    if curvature <= 0.0:
-        return step
-    return step / curvature
-
-
-def effective_prox_scale(stats: EMStats, Q: np.ndarray, cfg: DRConfig) -> float:
-    """Internal proximal parameter of `douglas_rachford`: cfg.step divided by the quadratic's curvature."""
-    return _prox_scale(cfg.step, np.linalg.eigh(stats.Phi)[0], np.linalg.eigh(Q)[0])
+    """Full inner objective q(A) + ||Omega . A||_1 (`q_factors` as in `q_quadratic`)."""
+    return q_quadratic(A, stats, Q, q_factors) + float(np.sum(Omega * np.abs(A)))
 
 
 def _setup(stats: EMStats, Omega: np.ndarray, cfg: DRConfig, q_factors: QFactors) -> tuple:
-    """Of one solve: Phi = W diag(m) W^T as (m, W), the prox scale, and the l1 thresholds scale * Omega."""
+    """Of one solve: Phi = W diag(m) W^T as (m, W), the prox scale, and the l1 thresholds scale * Omega.
+
+    The prox scale is cfg.step divided by the quadratic's curvature lambda_max(Phi) / lambda_min(Q).
+    """
     m, W = np.linalg.eigh(stats.Phi)
-    scale = _prox_scale(cfg.step, m, q_factors.lam)
+    curvature = float(m.max()) / float(q_factors.lam.min())
+    scale = cfg.step if curvature <= 0.0 else cfg.step / curvature
     return m, W, scale, scale * Omega
 
 
@@ -196,8 +171,9 @@ def _sweep(z, t, neg_t, prox_q, relaxation, c, v, y, x) -> None:
 
 def _report(x, iterations, residual, converged, stats, Q, Omega, A_init, q_factors) -> SolverReport:
     """The report of a finished solve, with A_init in place of an x whose inner objective is worse."""
-    chol = q_factors.cholesky
-    fell_back = surrogate_value(x, stats, Q, Omega, chol) > surrogate_value(A_init, stats, Q, Omega, chol) + 1e-12
+    fell_back = (
+        surrogate_value(x, stats, Q, Omega, q_factors) > surrogate_value(A_init, stats, Q, Omega, q_factors) + 1e-12
+    )
     if fell_back:
         x = np.array(A_init, dtype=float)
     return SolverReport(

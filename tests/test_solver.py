@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from graphit import (
+    DimensionMismatchError,
     DRConfig,
     NonFiniteError,
     NotPositiveDefiniteError,
@@ -14,7 +15,7 @@ from graphit import (
     surrogate_value,
 )
 from graphit.em_stats import EMStats
-from graphit.solver import QFactors, douglas_rachford_lockstep
+from graphit.solver import QFactors, _setup, douglas_rachford_lockstep
 
 from oracles import forward_backward, prox_quadratic_oracle, random_spd, reference_douglas_rachford
 
@@ -189,13 +190,11 @@ class TestDouglasRachford:
         assert from_afar.minimizer[0, 0] == pytest.approx(2.6, abs=1e-15)
 
     def test_fixed_point_barely_moves(self):
-        from graphit.solver import effective_prox_scale
-
         rng = np.random.default_rng(10)
         stats, Q, Omega = random_instance(rng)
         A_star = forward_backward(stats, Q, Omega, np.zeros((3, 3)))
         cfg = DRConfig(tol=1e-6, max_iter=3)
-        scale = effective_prox_scale(stats, Q, cfg)
+        scale = _setup(stats, Omega, cfg, QFactors.of(Q))[2]
         grad = np.linalg.inv(Q) @ (A_star @ stats.Phi - stats.Delta)
         z_star = A_star - scale * grad
         report = douglas_rachford(stats, Q, Omega, z_star, cfg)
@@ -225,18 +224,20 @@ BAD_Q = {
     "inf": (np.array([[np.inf, 0.0], [0.0, 1.0]]), NonFiniteError, "Q is not finite"),
     "-inf": (np.array([[1.0, 0.0], [0.0, -np.inf]]), NonFiniteError, "Q is not finite"),
     "indefinite": (np.array([[1.0, 2.0], [2.0, 1.0]]), NotPositiveDefiniteError, "Q is not positive definite"),
+    "not-square": (np.ones((2, 3)), DimensionMismatchError, "Q must be square"),
 }
 
 
 @pytest.mark.parametrize("entry", BAD_Q.values(), ids=BAD_Q.keys())
-@pytest.mark.parametrize("call", ["douglas_rachford", "q_quadratic", "surrogate_value"])
+@pytest.mark.parametrize("call", ["douglas_rachford", "prox_quadratic", "q_quadratic", "surrogate_value"])
 def test_bad_q_is_a_typed_error(call, entry):
-    """Q's Cholesky factor is taken by `dpotrf`, which factors a NaN quietly; each entry point names Q."""
+    """Q is checked and factored only by `QFactors.of` (`dpotrf` factors a NaN quietly); each entry point names Q."""
     Q, error, message = entry
     stats = EMStats(Psi=np.eye(2), Phi=np.eye(2), Delta=np.eye(2))
     A, Omega = np.eye(2), np.full((2, 2), 0.1)
     calls = {
         "douglas_rachford": lambda: douglas_rachford(stats, Q, Omega, A),
+        "prox_quadratic": lambda: prox_quadratic(A, stats, Q, 1.0),
         "q_quadratic": lambda: q_quadratic(A, stats, Q),
         "surrogate_value": lambda: surrogate_value(A, stats, Q, Omega),
     }
