@@ -93,13 +93,16 @@ def export_dot(A: np.ndarray, threshold: float = 1e-10) -> str:
 
     Entry (i, j) above threshold in magnitude becomes the edge j -> i
     (column index drives row index), labeled with the entry value. Nodes
-    are 1-based and always all present. The threshold must be finite and >= 0.
+    are 1-based and always all present. The threshold must be finite and >= 0,
+    and so must every entry be finite: a NaN has no edge to draw or omit.
     """
     if not 0 <= threshold < math.inf:
         raise ValueError(f"threshold must be >= 0 and finite, got {threshold}")
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("the matrix has NaN or infinite entries")
     n = A.shape[0]
     lines = ["digraph transition {"]
     for node in range(1, n + 1):

@@ -71,9 +71,14 @@ class Trajectory:
         return self.observations.shape[0]
 
 
+def is_integer(value) -> bool:
+    """An integral number that is not a bool: True is no size, cap or seed."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _rng(seed) -> np.random.Generator:
     """The generator of `seed`: an integer >= 0, a SeedSequence or None, else a ValueError names it."""
-    integer = isinstance(seed, numbers.Integral) and seed >= 0
+    integer = is_integer(seed) and seed >= 0
     if not (integer or seed is None or isinstance(seed, np.random.SeedSequence)):
         raise ValueError(f"seed must be an integer >= 0, a SeedSequence or None, got {seed!r}")
     # PCG64 is pinned explicitly so simulations are reproducible by contract.
@@ -82,7 +87,7 @@ def _rng(seed) -> np.random.Generator:
 
 def check_count(value, name: str) -> None:
     """Require a size or an iteration cap to be an integer >= 1; the error names it."""
-    if not (isinstance(value, numbers.Integral) and value >= 1):
+    if not (is_integer(value) and value >= 1):
         raise ValueError(f"{name} must be >= 1 and an integer, got {value}")
 
 
@@ -229,7 +234,7 @@ def generate_sparse_A(N_x: int, S: int, target_norm: float = 0.9, seed=0) -> np.
     equals `target_norm`. Deterministic given the seed.
     """
     check_count(N_x, "N_x")
-    if not (isinstance(S, numbers.Integral) and 1 <= S <= N_x * N_x):
+    if not (is_integer(S) and 1 <= S <= N_x * N_x):
         raise ValueError(f"S must be an integer in [1, {N_x * N_x}], got {S}")
     if not 0.0 < target_norm < math.inf:
         raise ValueError(f"target_norm must be finite and > 0, got {target_norm}")

@@ -10,13 +10,12 @@ from __future__ import annotations
 import configparser
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .algorithms import EstimatorConfig
 from .exceptions import ConfigError
-from .model import check_count
+from .model import check_count, is_integer
 from .penalties import SHAPE_FIELD, Potential
 from .solver import DRConfig
 
@@ -54,7 +53,7 @@ class Scenario:
             EstimatorConfig(epsilon=self.epsilon, max_outer=self.max_outer)
         except ValueError as err:
             raise ConfigError(str(err)) from None
-        if not (isinstance(self.s, numbers.Integral) and 1 <= self.s <= self.n_x * self.n_x):
+        if not (is_integer(self.s) and 1 <= self.s <= self.n_x * self.n_x):
             raise ConfigError(f"s must be an integer in [1, {self.n_x * self.n_x}], got {self.s}")
         if not all(0 < sigma < math.inf for sigma in (self.sigma_q, self.sigma_r, self.sigma_0)):
             raise ConfigError("sigma_q, sigma_r and sigma_0 must be finite and > 0")
@@ -62,10 +61,13 @@ class Scenario:
             raise ConfigError(f"edge_threshold must be >= 0 and finite, got {self.edge_threshold}")
         if not 0 < self.target_norm < math.inf:
             raise ConfigError(f"target_norm must be finite and > 0, got {self.target_norm}")
-        if not (isinstance(self.master_seed, numbers.Integral) and self.master_seed >= 0):
+        if not (is_integer(self.master_seed) and self.master_seed >= 0):
             raise ConfigError(f"master_seed must be an integer >= 0, got {self.master_seed}")
         if not self.methods:
             raise ConfigError("at least one method must be selected")
+        graphem = self.potentials.get("graphem")
+        if graphem is not None and graphem.family != "l1":
+            raise ConfigError("graphem uses the l1 potential only")
         for i, m in enumerate(self.methods):
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")

@@ -140,10 +140,7 @@ def surrogate_value(
 
 
 def _setup(stats: EMStats, Omega: np.ndarray, cfg: DRConfig, q_factors: QFactors) -> tuple:
-    """Of one solve: Phi = W diag(m) W^T as (m, W), the prox scale, and the l1 thresholds scale * Omega.
-
-    The prox scale is cfg.step divided by the quadratic's curvature lambda_max(Phi) / lambda_min(Q).
-    """
+    """Of one solve: Phi = W diag(m) W^T as (m, W), the prox scale (`DRConfig`), and the thresholds scale * Omega."""
     m, W = np.linalg.eigh(stats.Phi)
     curvature = float(m.max()) / float(q_factors.lam.min())
     scale = cfg.step if curvature <= 0.0 else cfg.step / curvature

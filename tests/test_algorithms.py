@@ -264,7 +264,7 @@ class TestEstimatorConfig:
             EstimatorConfig(epsilon=np.inf)
         with pytest.raises(ValueError):
             EstimatorConfig(max_outer=0)
-        for cap in (2.5, np.inf, np.nan, 3.0):
+        for cap in (2.5, np.inf, np.nan, 3.0, True):
             with pytest.raises(ValueError, match=f"max_outer must be >= 1 and an integer, got {cap}"):
                 EstimatorConfig(max_outer=cap)
         assert EstimatorConfig(max_outer=np.int64(3)).max_outer == 3

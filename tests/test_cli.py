@@ -145,6 +145,14 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError):
             small_scenario(potentials={})
 
+    def test_graphem_takes_l1_only(self):
+        """As in the config reader: a non-l1 graphem potential is a ConfigError, not a raw error in the harness."""
+        potentials = {"graphem": Potential("log-sum", gamma=1.0, lam=0.1)}
+        with pytest.raises(ConfigError, match="^graphem uses the l1 potential only$"):
+            small_scenario(methods=("graphem",), potentials=potentials)
+        with pytest.raises(ConfigError, match="^graphem uses the l1 potential only$"):
+            dataclasses.replace(small_scenario(methods=("graphem",)), potentials=potentials)
+
     def test_support_range(self):
         with pytest.raises(ConfigError):
             small_scenario(s=17)
@@ -165,6 +173,11 @@ class TestScenarioValidation:
             ("s", 17, r"^s must be an integer in \[1, 16\], got 17$"),
             ("master_seed", 2.5, r"^master_seed must be an integer >= 0, got 2\.5$"),
             ("master_seed", -1, r"^master_seed must be an integer >= 0, got -1$"),
+            ("k", True, r"^k must be >= 1 and an integer, got True$"),
+            ("n_realizations", True, r"^n_realizations must be >= 1 and an integer, got True$"),
+            ("s", True, r"^s must be an integer in \[1, 16\], got True$"),
+            ("master_seed", True, r"^master_seed must be an integer >= 0, got True$"),
+            ("max_outer", True, r"^max_outer must be >= 1 and an integer, got True$"),
         ],
     )
     def test_sizes_and_seed_are_integers(self, field, value, match):
@@ -487,6 +500,12 @@ class TestExportDot:
         with pytest.raises(ValueError):
             export_dot(np.zeros((2, 3)), 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        """A NaN would be dropped and an infinity drawn as an edge labeled "inf": neither is a graph of A."""
+        with pytest.raises(ValueError, match="^the matrix has NaN or infinite entries$"):
+            export_dot(np.array([[1.0, bad], [0.0, 1.0]]), 0.1)
+
 
 class TestFmt5:
     @settings(max_examples=2000)
@@ -595,6 +614,11 @@ class TestMainCommand:
         code = main(["export-dot", str(matrix), "1e-10"])
         assert code == 0
         assert "2 -> 1" in capsys.readouterr().out
+        matrix.write_text("1.0,nan\ninf,1.0\n")
+        assert main(["export-dot", str(matrix), "0.1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "configuration error" in captured.err and "NaN or infinite" in captured.err
 
     def test_exit_code_config_error(self, tmp_path, capsys):
         assert main(["bench", str(tmp_path / "missing.cfg")]) == 1

@@ -124,7 +124,7 @@ class TestSimulate:
         assert np.all(np.abs(mean) < 5.0 / np.sqrt(K))
 
     def test_rejects_bad_horizon(self):
-        for K in (0, -1, 2.5, 3.0, np.nan, np.inf, "3"):
+        for K in (0, -1, 2.5, 3.0, np.nan, np.inf, "3", True):
             with pytest.raises(ValueError, match=f"^K must be >= 1 and an integer, got {K}$"):
                 simulate(_identity_params(), K=K, seed=0)
 
@@ -209,11 +209,11 @@ class TestGenerateSparseA:
             assert spectral_norm(A) < 1.0
 
     def test_rejects_bad_support(self):
-        for S in (0, 10, 2.5, np.nan):
+        for S in (0, 10, 2.5, np.nan, True):
             with pytest.raises(ValueError, match=f"^S must be an integer in \\[1, 9\\], got {S}$"):
                 generate_sparse_A(3, S)
 
-    @pytest.mark.parametrize("N_x", [0, 2.5, 4.0, np.nan])
+    @pytest.mark.parametrize("N_x", [0, 2.5, 4.0, np.nan, True])
     def test_rejects_bad_size(self, N_x):
         for make in (lambda: generate_sparse_A(N_x, 2), lambda: default_init(N_x)):
             with pytest.raises(ValueError, match=f"^N_x must be >= 1 and an integer, got {N_x}$"):
@@ -225,7 +225,7 @@ class TestGenerateSparseA:
             generate_sparse_A(4, 3, target_norm=target_norm)
 
 
-@pytest.mark.parametrize("seed", [-1, 2.5, "x", np.nan, [1, 2]], ids=repr)
+@pytest.mark.parametrize("seed", [-1, 2.5, "x", np.nan, [1, 2], True], ids=repr)
 def test_rejects_bad_seed(seed):
     """A seed that is not an integer >= 0, a SeedSequence or None is a ValueError naming it, in both modes."""
     match = "^seed must be an integer >= 0, a SeedSequence or None, got "

@@ -213,7 +213,7 @@ class TestDouglasRachford:
             DRConfig(tol=np.inf)
         with pytest.raises(ValueError):
             DRConfig(max_iter=0)
-        for cap in (2.5, np.nan, np.inf, 3.0):
+        for cap in (2.5, np.nan, np.inf, 3.0, True):
             with pytest.raises(ValueError, match=f"max_iter must be >= 1 and an integer, got {cap}"):
                 DRConfig(max_iter=cap)
         assert DRConfig(max_iter=np.int64(3)).max_iter == 3
