@@ -32,9 +32,9 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .em_stats import EMStats, QFactors, compute_stats
-from .exceptions import NonFiniteError, SingularPredictiveCovarianceError, SingularStatisticsError, attempt
+from .exceptions import ConfigError, NonFiniteError, SingularPredictiveCovarianceError, SingularStatisticsError, attempt
 from .kalman import kalman_filter, kalman_filter_lockstep, rts_smoother
-from .model import ModelParams, check_count, spectral_norm
+from .model import ModelParams, check_count, check_positive, spectral_norm
 from .penalties import Potential, penalty_value, weight_matrix
 from .solver import DRConfig, douglas_rachford, douglas_rachford_lockstep
 
@@ -49,8 +49,7 @@ class EstimatorConfig:
     dr: DRConfig = field(default_factory=DRConfig)
 
     def __post_init__(self):
-        if not 0 < self.epsilon < np.inf:
-            raise ValueError(f"epsilon must be > 0 and finite, got {self.epsilon}")
+        check_positive(self.epsilon, "epsilon")
         check_count(self.max_outer, "max_outer")
 
 
@@ -191,7 +190,7 @@ def graphit(
 ) -> EstimatorResult:
     """Reweighted-l1 MM estimator for any potential in the family."""
     if cfg.potential is None:
-        raise ValueError("graphit requires a potential; use mlem for the unpenalized estimator")
+        raise ConfigError("graphit requires a potential; use mlem for the unpenalized estimator")
     return _alone(graphit_lockstep(observations, params_rest, A0, cfg, [cfg.potential]))
 
 
@@ -203,7 +202,7 @@ def graphem(
 ) -> EstimatorResult:
     """l1-penalized estimator: the constant-weight special case of graphit."""
     if cfg.potential is None or cfg.potential.family != "l1":
-        raise ValueError("graphem requires an l1 potential")
+        raise ConfigError("graphem uses the l1 potential only")
     return graphit(observations, params_rest, A0, cfg)
 
 

@@ -43,7 +43,7 @@ from .export import (
     BenchmarkRow, _hyper_string, _point_string, export_csv, export_curve_csv, export_dot, export_grid_csv,
 )
 from .metrics import accuracy, edge_confusion, f1, rmse
-from .model import ModelParams, generate_sparse_A, simulate
+from .model import ModelParams, check_count, generate_sparse_A, simulate
 from .penalties import FAMILIES, SHAPE_FIELD, Potential, emit_penalty_curve
 from .scenario import PENALIZED, Scenario, load_scenario
 
@@ -263,8 +263,7 @@ def _output(path: str | None) -> contextlib.AbstractContextManager:
 
 def _scenario(args) -> Scenario:
     """The scenario of `bench` or `grid`: the config file with the options' overrides, after checking --jobs."""
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    check_count(args.jobs, "--jobs")
     options = {"seed": "master_seed", "realizations": "n_realizations", "k": "k", "threshold": "edge_threshold"}
     overrides = {name: getattr(args, opt) for opt, name in options.items() if getattr(args, opt, None) is not None}
     return load_scenario(args.config, overrides)
@@ -317,12 +316,8 @@ def _cmd_curve(args) -> int:
     shape = SHAPE_FIELD[args.family]
     if shape is None and args.shape is not None:
         raise ConfigError(f"{args.family} takes gamma only, got a shape of {args.shape}")
-    try:
-        potential = Potential(args.family, gamma=args.gamma, **({shape: args.shape} if shape else {}))
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    if args.points < 1:
-        raise ConfigError(f"--points must be >= 1, got {args.points}")
+    potential = Potential(args.family, gamma=args.gamma, **({shape: args.shape} if shape else {}))
+    check_count(args.points, "--points")
     grid = np.linspace(args.u_min, args.u_max, args.points)
     text = export_curve_csv(emit_penalty_curve(potential, grid))
     with _output(args.out) as f:
@@ -337,10 +332,7 @@ def _cmd_export_dot(args) -> int:
         raise ConfigError(f"cannot read matrix file: {err}") from None
     except ValueError as err:
         raise ConfigError(f"cannot parse matrix file: {err}") from None
-    try:
-        text = export_dot(matrix, args.threshold)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    text = export_dot(matrix, args.threshold)
     with _output(args.out) as f:
         f.write(text)
     return 0

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .exceptions import DimensionMismatchError, NonFiniteError, NotPositiveDefiniteError
+from .exceptions import ConfigError, DimensionMismatchError, NonFiniteError, NotPositiveDefiniteError
 from .kalman import SmootherRun
 
 
@@ -46,7 +46,7 @@ def compute_stats(smoother: SmootherRun) -> EMStats:
     means = smoother.smoothed_means
     covs, gains = smoother.smoothed_covs, smoother.gains
     if smoother.horizon < 1:
-        raise ValueError("smoother run must cover at least one step")
+        raise ConfigError("smoother run must cover at least one step")
 
     runs, n = covs.shape[0], covs.shape[1]
     counts = smoother.run_lengths.astype(float)

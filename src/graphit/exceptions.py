@@ -9,8 +9,8 @@ class GraphitError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ConfigError(GraphitError):
-    """Invalid scenario/CLI configuration."""
+class ConfigError(GraphitError, ValueError):
+    """An invalid argument, scenario or command line."""
 
 
 class DimensionMismatchError(GraphitError, ValueError):

@@ -13,6 +13,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .exceptions import ConfigError
+from .metrics import check_threshold
 from .penalties import SHAPE_FIELD, Potential
 
 
@@ -96,13 +98,12 @@ def export_dot(A: np.ndarray, threshold: float = 1e-10) -> str:
     are 1-based and always all present. The threshold must be finite and >= 0,
     and so must every entry be finite: a NaN has no edge to draw or omit.
     """
-    if not 0 <= threshold < math.inf:
-        raise ValueError(f"threshold must be >= 0 and finite, got {threshold}")
+    check_threshold(threshold, "threshold")
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+        raise ConfigError(f"expected a square matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
-        raise ValueError("the matrix has NaN or infinite entries")
+        raise ConfigError("the matrix has NaN or infinite entries")
     n = A.shape[0]
     lines = ["digraph transition {"]
     for node in range(1, n + 1):

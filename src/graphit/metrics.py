@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import ConfigError
+
 
 @dataclass(frozen=True)
 class EdgeConfusion:
@@ -21,26 +23,31 @@ class EdgeConfusion:
         return self.tp + self.fp + self.tn + self.fn
 
 
+def check_threshold(value, name: str) -> None:
+    """Require an edge threshold to be finite and >= 0; the error names it."""
+    if not 0 <= value < np.inf:
+        raise ConfigError(f"{name} must be >= 0 and finite, got {value}")
+
+
 def rmse(A_hat: np.ndarray, A_true: np.ndarray) -> float:
     """Relative error in Frobenius norm: ||A_hat - A_true||_F / ||A_true||_F."""
     A_hat = np.asarray(A_hat, dtype=float)
     A_true = np.asarray(A_true, dtype=float)
     if A_hat.shape != A_true.shape:
-        raise ValueError(f"shape mismatch: {A_hat.shape} vs {A_true.shape}")
+        raise ConfigError(f"shape mismatch: {A_hat.shape} vs {A_true.shape}")
     denom = float(np.linalg.norm(A_true))
     if denom == 0.0:
-        raise ValueError("reference matrix is zero; relative error undefined")
+        raise ConfigError("reference matrix is zero; relative error undefined")
     return float(np.linalg.norm(A_hat - A_true)) / denom
 
 
 def edge_confusion(A_hat: np.ndarray, A_true: np.ndarray, threshold: float = 1e-10) -> EdgeConfusion:
     """Confusion counts with entry (i, j) an edge iff its magnitude exceeds threshold (finite, >= 0)."""
-    if not 0 <= threshold < np.inf:
-        raise ValueError(f"threshold must be >= 0 and finite, got {threshold}")
+    check_threshold(threshold, "threshold")
     A_hat = np.asarray(A_hat, dtype=float)
     A_true = np.asarray(A_true, dtype=float)
     if A_hat.shape != A_true.shape:
-        raise ValueError(f"shape mismatch: {A_hat.shape} vs {A_true.shape}")
+        raise ConfigError(f"shape mismatch: {A_hat.shape} vs {A_true.shape}")
     pred = np.abs(A_hat) > threshold
     true = np.abs(A_true) > threshold
     return EdgeConfusion(

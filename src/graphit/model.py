@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, NonFiniteError, NotPositiveDefiniteError
+from .exceptions import ConfigError, DimensionMismatchError, NonFiniteError, NotPositiveDefiniteError
 
 SYMMETRY_TOL = 1e-12
 
@@ -77,10 +77,10 @@ def is_integer(value) -> bool:
 
 
 def _rng(seed) -> np.random.Generator:
-    """The generator of `seed`: an integer >= 0, a SeedSequence or None, else a ValueError names it."""
+    """The generator of `seed`: an integer >= 0, a SeedSequence or None, else a ConfigError names it."""
     integer = is_integer(seed) and seed >= 0
     if not (integer or seed is None or isinstance(seed, np.random.SeedSequence)):
-        raise ValueError(f"seed must be an integer >= 0, a SeedSequence or None, got {seed!r}")
+        raise ConfigError(f"seed must be an integer >= 0, a SeedSequence or None, got {seed!r}")
     # PCG64 is pinned explicitly so simulations are reproducible by contract.
     return np.random.Generator(np.random.PCG64(seed))
 
@@ -88,7 +88,19 @@ def _rng(seed) -> np.random.Generator:
 def check_count(value, name: str) -> None:
     """Require a size or an iteration cap to be an integer >= 1; the error names it."""
     if not (is_integer(value) and value >= 1):
-        raise ValueError(f"{name} must be >= 1 and an integer, got {value}")
+        raise ConfigError(f"{name} must be >= 1 and an integer, got {value}")
+
+
+def check_positive(value, name: str) -> None:
+    """Require a scale, a step or a tolerance to be finite and > 0; the error names it."""
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be finite and > 0, got {value}")
+
+
+def check_support(S, N_x: int, name: str) -> None:
+    """Require a support size to be an integer in [1, N_x^2]; the error names it."""
+    if not (is_integer(S) and 1 <= S <= N_x * N_x):
+        raise ConfigError(f"{name} must be an integer in [1, {N_x * N_x}], got {S}")
 
 
 def _check_finite(M: np.ndarray, name: str) -> None:
@@ -219,7 +231,7 @@ def spectral_norm(M: np.ndarray) -> float:
     """Largest singular value of M, computed exactly from its SVD."""
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
-        raise ValueError("spectral_norm requires finite entries")
+        raise ConfigError("spectral_norm requires finite entries")
     if M.size == 0:
         return 0.0
     return float(np.linalg.norm(M, 2))
@@ -234,10 +246,8 @@ def generate_sparse_A(N_x: int, S: int, target_norm: float = 0.9, seed=0) -> np.
     equals `target_norm`. Deterministic given the seed.
     """
     check_count(N_x, "N_x")
-    if not (is_integer(S) and 1 <= S <= N_x * N_x):
-        raise ValueError(f"S must be an integer in [1, {N_x * N_x}], got {S}")
-    if not 0.0 < target_norm < math.inf:
-        raise ValueError(f"target_norm must be finite and > 0, got {target_norm}")
+    check_support(S, N_x, "S")
+    check_positive(target_norm, "target_norm")
     rng = _rng(seed)
     flat_idx = rng.choice(N_x * N_x, size=S, replace=False)
     values = rng.standard_normal(S)

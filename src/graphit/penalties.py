@@ -23,6 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exceptions import ConfigError
+from .model import check_positive
+
 # The Potential field that holds each family's shape hyperparameter (None for
 # l1, which has gamma only), and the value that field must exceed.
 SHAPE_FIELD = {"log-sum": "lam", "atan": "lam", "mangasarian": "lam", "mcp": "lam", "scad": "a", "l1": None}
@@ -46,17 +49,16 @@ class Potential:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown potential family {self.family!r}; choose from {FAMILIES}")
-        if not 0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
+            raise ConfigError(f"unknown potential family {self.family!r}; choose from {FAMILIES}")
+        check_positive(self.gamma, "gamma")
         shape = SHAPE_FIELD[self.family]
         if shape is not None:
             value, floor = getattr(self, shape), _SHAPE_FLOOR[shape]
             if value is None or not floor < value < math.inf:
-                raise ValueError(f"{self.family} requires a finite {shape} > {floor}, got {value}")
+                raise ConfigError(f"{self.family} requires a finite {shape} > {floor}, got {value}")
         for other in _SHAPE_FLOOR:
             if other != shape and getattr(self, other) is not None:
-                raise ValueError(f"{self.family} takes no {other}, got {other}={getattr(self, other)}")
+                raise ConfigError(f"{self.family} takes no {other}, got {other}={getattr(self, other)}")
 
 
 def rho(p: Potential, u) -> np.ndarray | float:

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import configparser
 import itertools
-import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .algorithms import EstimatorConfig
 from .exceptions import ConfigError
-from .model import check_count, is_integer
+from .metrics import check_threshold
+from .model import check_count, check_positive, check_support, is_integer
 from .penalties import SHAPE_FIELD, Potential
 from .solver import DRConfig
 
@@ -47,20 +47,13 @@ class Scenario:
     target_norm: float = 0.9
 
     def __post_init__(self):
-        try:
-            for name in ("n_x", "n_y", "k", "n_realizations"):
-                check_count(getattr(self, name), name)
-            EstimatorConfig(epsilon=self.epsilon, max_outer=self.max_outer)
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
-        if not (is_integer(self.s) and 1 <= self.s <= self.n_x * self.n_x):
-            raise ConfigError(f"s must be an integer in [1, {self.n_x * self.n_x}], got {self.s}")
-        if not all(0 < sigma < math.inf for sigma in (self.sigma_q, self.sigma_r, self.sigma_0)):
-            raise ConfigError("sigma_q, sigma_r and sigma_0 must be finite and > 0")
-        if not 0 <= self.edge_threshold < math.inf:
-            raise ConfigError(f"edge_threshold must be >= 0 and finite, got {self.edge_threshold}")
-        if not 0 < self.target_norm < math.inf:
-            raise ConfigError(f"target_norm must be finite and > 0, got {self.target_norm}")
+        for name in ("n_x", "n_y", "k", "n_realizations"):
+            check_count(getattr(self, name), name)
+        EstimatorConfig(epsilon=self.epsilon, max_outer=self.max_outer)
+        check_support(self.s, self.n_x, "s")
+        for name in ("sigma_q", "sigma_r", "sigma_0", "target_norm"):
+            check_positive(getattr(self, name), name)
+        check_threshold(self.edge_threshold, "edge_threshold")
         if not (is_integer(self.master_seed) and self.master_seed >= 0):
             raise ConfigError(f"master_seed must be an integer >= 0, got {self.master_seed}")
         if not self.methods:
@@ -213,12 +206,7 @@ def load_scenario(path: str | Path, overrides: dict | None = None) -> Scenario:
         dr = DRConfig(**_present(est, _DR_KEYS, prefix="dr_"))
     except ValueError as err:
         raise ConfigError(f"invalid [estimator]: {err}") from None
-    try:
-        scenario = Scenario(
-            scenario_id=sec.get("id", path.stem), potentials=potentials, grids=grids, dr=dr, **values
-        )
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    scenario = Scenario(scenario_id=sec.get("id", path.stem), potentials=potentials, grids=grids, dr=dr, **values)
 
     if overrides:
         scenario = replace(scenario, **overrides)

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em_stats import EMStats, QFactors, q_quadratic
-from .exceptions import attempt
-from .model import check_count
+from .exceptions import ConfigError, attempt
+from .model import check_count, check_positive
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,10 @@ class DRConfig:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if not 0 < self.step < math.inf:
-            raise ValueError(f"step must be finite and > 0, got {self.step}")
+        check_positive(self.step, "step")
         if not 0.0 < self.relaxation < 2.0:
-            raise ValueError(f"relaxation must be in (0, 2), got {self.relaxation}")
-        if not 0 < self.tol < math.inf:
-            raise ValueError(f"tol must be > 0 and finite, got {self.tol}")
+            raise ConfigError(f"relaxation must be in (0, 2), got {self.relaxation}")
+        check_positive(self.tol, "tol")
         check_count(self.max_iter, "max_iter")
 
 

@@ -714,10 +714,10 @@ class TestMainCommand:
             (QUICK_CFG + "\n[estimater]\ndr_tol = 1e-12\n", ["unknown section [estimater]"]),
             (QUICK_CFG + "\n[potential.mlem]\nfamily = l1\ngamma = 1\n", ["unknown section [potential.mlem]"]),
             (QUICK_CFG + "\n[grid.mlem]\ngamma = 1 10\n", ["unknown section [grid.mlem]"]),
-            (QUICK_CFG + "\n[estimator]\nepsilon = 0\n", ["epsilon must be > 0"]),
+            (QUICK_CFG + "\n[estimator]\nepsilon = 0\n", ["epsilon must be finite and > 0"]),
             (QUICK_CFG + "\n[estimator]\nmax_outer = 0\n", ["max_outer must be >= 1"]),
-            (QUICK_CFG + "\n[estimator]\nepsilon = inf\n", ["epsilon must be > 0 and finite, got inf"]),
-            (QUICK_CFG + "\n[estimator]\ndr_tol = inf\n", ["[estimator]", "tol must be > 0 and finite, got inf"]),
+            (QUICK_CFG + "\n[estimator]\nepsilon = inf\n", ["epsilon must be finite and > 0, got inf"]),
+            (QUICK_CFG + "\n[estimator]\ndr_tol = inf\n", ["[estimator]", "tol must be finite and > 0, got inf"]),
             (QUICK_CFG + "\n[grid.graphit]\ngamma = 10\nlambda = 0.1 -1\n", ["[grid.graphit]", "lam > 0"]),
             (QUICK_CFG + "\n[grid.graphem]\ngamma = 1 x\n", ["cannot parse", "[grid.graphem]"]),
             (QUICK_CFG.replace("sigma_q = 0.1", "sigma_q = nan"), ["sigma_q"]),

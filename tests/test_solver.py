@@ -209,7 +209,7 @@ class TestDouglasRachford:
             DRConfig(relaxation=2.0)
         with pytest.raises(ValueError):
             DRConfig(tol=0.0)
-        with pytest.raises(ValueError, match="tol must be > 0 and finite, got inf"):
+        with pytest.raises(ValueError, match="tol must be finite and > 0, got inf"):
             DRConfig(tol=np.inf)
         with pytest.raises(ValueError):
             DRConfig(max_iter=0)
