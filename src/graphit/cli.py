@@ -143,6 +143,7 @@ _AVERAGED = ("rmse", "accuracy", "f1", "time_s")
 
 def _benchmark(scenario: Scenario, jobs: int = 1):
     """The rows of `run_benchmark` and the graphs of realization 0: the truth and each estimate."""
+    check_count(jobs, "jobs")
     n = scenario.n_realizations
     outcomes = _map(_run_realization, [(scenario, r) for r in range(n)], jobs)
 
@@ -185,6 +186,7 @@ def grid_search(scenario: Scenario, method: str, grid: Sequence[Potential], jobs
     grid order, with rmse inf where the fit failed. Ties go to the earliest
     point in the grid. Raises GraphitError when every fit failed.
     """
+    check_count(jobs, "jobs")
     if not grid:
         raise ConfigError("grid must be nonempty")
     if method not in PENALIZED:

@@ -100,7 +100,8 @@ def rho_prime(p: Potential, u) -> np.ndarray | float:
     elif p.family == "mangasarian":
         out = g * np.exp(-p.lam * au)
     elif p.family == "mcp":
-        out = np.where(au <= p.lam * g, g - au / p.lam, 0.0)
+        # At the knot, au / lam may round above gamma; a weight is never negative.
+        out = np.maximum(np.where(au <= p.lam * g, g - au / p.lam, 0.0), 0.0)
     elif p.family == "scad":
         a = p.a
         out = np.select([au <= g, au <= a * g], [np.full_like(au, g), (a * g - au) / (a - 1.0)], default=0.0)
@@ -115,7 +116,7 @@ def penalty_value(p: Potential, A: np.ndarray) -> float:
 
 
 def weight_matrix(p: Potential, A_prev: np.ndarray) -> np.ndarray:
-    """Reweighting matrix: entrywise rho'(|A_prev|), in (0, gamma] pointwise."""
+    """Reweighting matrix: entrywise rho'(|A_prev|), in [0, gamma] pointwise."""
     return np.asarray(rho_prime(p, A_prev))
 
 

@@ -77,8 +77,16 @@ def _clip(V: np.ndarray, t: np.ndarray, neg_t: np.ndarray, out: np.ndarray | Non
     return np.maximum(out, neg_t, out=out)
 
 
+def check_weights(Omega: np.ndarray) -> None:
+    """Require the l1 weights to be finite and >= 0: only then is the l1 prox a soft threshold."""
+    if Omega.size and not (Omega.min() >= 0 and Omega.max() < math.inf):
+        raise ConfigError("Omega must be finite and >= 0")
+
+
 def prox_weighted_l1(V: np.ndarray, Omega: np.ndarray, step: float) -> np.ndarray:
     """Entrywise soft-thresholding at thresholds step * Omega."""
+    check_weights(Omega)
+    check_positive(step, "step")
     t = step * Omega
     return V - _clip(V, t, -t)
 
@@ -139,6 +147,7 @@ def surrogate_value(
 
 def _setup(stats: EMStats, Omega: np.ndarray, cfg: DRConfig, q_factors: QFactors) -> tuple:
     """Of one solve: Phi = W diag(m) W^T as (m, W), the prox scale (`DRConfig`), and the thresholds scale * Omega."""
+    check_weights(Omega)
     m, W = np.linalg.eigh(stats.Phi)
     curvature = float(m.max()) / float(q_factors.lam.min())
     scale = cfg.step if curvature <= 0.0 else cfg.step / curvature

@@ -20,6 +20,7 @@ import graphit.algorithms as algorithms
 import graphit.kalman as kalman
 from graphit import (
     FAMILIES,
+    ConfigError,
     DimensionMismatchError,
     ModelParams,
     NonFiniteError,
@@ -244,6 +245,25 @@ def test_douglas_rachford_lockstep_matches_lone_solves(batch):
     for (stats, Omega, A_init), report in zip(problems, reports):
         lone = douglas_rachford(stats, Q, Omega, A_init, cfg, q_factors)
         assert outcome_bytes(report, REPORT_FIELDS) == outcome_bytes(lone, REPORT_FIELDS)
+
+
+@given(dr_batches(), st.data())
+def test_douglas_rachford_lockstep_fails_only_the_bad_weights(batch, data):
+    """A negative, NaN or infinite weight is its own problem's ConfigError; the others keep their lone reports."""
+    problems, Q, cfg = batch
+    bad = data.draw(st.integers(0, len(problems) - 1))
+    stats, Omega, A_init = problems[bad]
+    Omega = Omega.copy()
+    Omega.flat[data.draw(st.integers(0, Omega.size - 1))] = data.draw(st.sampled_from([-1e-3, np.nan, np.inf]))
+    problems[bad] = (stats, Omega, A_init)
+    q_factors = QFactors.of(Q)
+    reports = douglas_rachford_lockstep(problems, Q, cfg, q_factors)
+    for j, ((stats, Omega, A_init), report) in enumerate(zip(problems, reports)):
+        if j == bad:
+            assert (type(report), str(report)) == (ConfigError, "Omega must be finite and >= 0")
+        else:
+            lone = douglas_rachford(stats, Q, Omega, A_init, cfg, q_factors)
+            assert outcome_bytes(report, REPORT_FIELDS) == outcome_bytes(lone, REPORT_FIELDS)
 
 
 def potentials(draw, count):

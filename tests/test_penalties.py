@@ -124,6 +124,11 @@ class TestRhoPrime:
         p = Potential("mcp", gamma=1.0, lam=1.0)
         assert rho_prime(p, 2.0) == 0.0
 
+    def test_mcp_weight_at_the_knee_is_not_negative(self):
+        """lam * gamma rounds to 0.30000000000000004, which / lam exceeds gamma by an ulp."""
+        p = Potential("mcp", gamma=3.0, lam=0.1)
+        assert rho_prime(p, p.lam * p.gamma) == 0.0
+
     @pytest.mark.parametrize("p", ALL_POTENTIALS, ids=FAMILIES)
     def test_nonincreasing(self, p):
         grid = np.linspace(0.0, 4.0 * p.gamma, 400)
