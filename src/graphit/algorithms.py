@@ -194,6 +194,12 @@ def graphit(
     return _alone(graphit_lockstep(observations, params_rest, A0, cfg, [cfg.potential]))
 
 
+def check_graphem(*potentials: Potential | None) -> None:
+    """Require each potential of a graphem fit to be l1, the family whose weights are constant."""
+    if any(potential is None or potential.family != "l1" for potential in potentials):
+        raise ConfigError("graphem uses the l1 potential only")
+
+
 def graphem(
     observations: np.ndarray,
     params_rest: ModelParams,
@@ -201,8 +207,7 @@ def graphem(
     cfg: EstimatorConfig,
 ) -> EstimatorResult:
     """l1-penalized estimator: the constant-weight special case of graphit."""
-    if cfg.potential is None or cfg.potential.family != "l1":
-        raise ConfigError("graphem uses the l1 potential only")
+    check_graphem(cfg.potential)
     return graphit(observations, params_rest, A0, cfg)
 
 

@@ -37,7 +37,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .algorithms import EstimatorConfig, default_init, graphem, graphit, graphit_lockstep, mlem
+from .algorithms import EstimatorConfig, check_graphem, default_init, graphem, graphit, graphit_lockstep, mlem
 from .exceptions import FIT_ERRORS, ConfigError, GraphitError
 from .export import (
     BenchmarkRow, _hyper_string, _point_string, export_csv, export_curve_csv, export_dot, export_grid_csv,
@@ -191,8 +191,8 @@ def grid_search(scenario: Scenario, method: str, grid: Sequence[Potential], jobs
         raise ConfigError("grid must be nonempty")
     if method not in PENALIZED:
         raise ConfigError(f"grid search needs a penalized method, not {method!r}")
-    if method == "graphem" and any(p.family != "l1" for p in grid):
-        raise ConfigError("graphem uses the l1 potential only")
+    if method == "graphem":
+        check_graphem(*grid)
 
     data = _realization_data(scenario, 0)
     A0 = default_init(scenario.n_x)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import ConfigError
 from .metrics import check_threshold
-from .penalties import SHAPE_FIELD, Potential
+from .penalties import Potential
 
 
 @dataclass(frozen=True)
@@ -55,20 +55,14 @@ def _fmt5(x: float) -> str:
     return ("-" if neg else "") + digits
 
 
-def _hyperparams(p: Potential) -> dict[str, float]:
-    """The hyperparameters a grid varies: gamma, then the family's shape field if it has one."""
-    shape = SHAPE_FIELD[p.family]
-    return {"gamma": p.gamma} if shape is None else {"gamma": p.gamma, shape: getattr(p, shape)}
-
-
 def _hyper_string(p: Potential | None) -> str:
     """The `hyperparams` column of the benchmark table: name=value pairs joined by semicolons."""
-    return "" if p is None else ";".join(f"{name}={_fmt5(v)}" for name, v in _hyperparams(p).items())
+    return "" if p is None else ";".join(f"{name}={_fmt5(v)}" for name, v in p.hyperparams.items())
 
 
 def _point_string(p: Potential) -> str:
     """A grid point as its hyperparameter values joined by semicolons."""
-    return ";".join(_fmt5(v) for v in _hyperparams(p).values())
+    return ";".join(_fmt5(v) for v in p.hyperparams.values())
 
 
 def _render_csv(header: list[str], records) -> str:

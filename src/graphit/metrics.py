@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError
+from .model import is_real
 
 
 @dataclass(frozen=True)
@@ -25,16 +26,22 @@ class EdgeConfusion:
 
 def check_threshold(value, name: str) -> None:
     """Require an edge threshold to be finite and >= 0; the error names it."""
-    if not 0 <= value < np.inf:
+    if not (is_real(value) and 0 <= value < np.inf):
         raise ConfigError(f"{name} must be >= 0 and finite, got {value}")
 
 
-def rmse(A_hat: np.ndarray, A_true: np.ndarray) -> float:
-    """Relative error in Frobenius norm: ||A_hat - A_true||_F / ||A_true||_F."""
+def _pair(A_hat, A_true) -> tuple[np.ndarray, np.ndarray]:
+    """An estimate and its truth as float arrays of one shape."""
     A_hat = np.asarray(A_hat, dtype=float)
     A_true = np.asarray(A_true, dtype=float)
     if A_hat.shape != A_true.shape:
         raise ConfigError(f"shape mismatch: {A_hat.shape} vs {A_true.shape}")
+    return A_hat, A_true
+
+
+def rmse(A_hat: np.ndarray, A_true: np.ndarray) -> float:
+    """Relative error in Frobenius norm: ||A_hat - A_true||_F / ||A_true||_F."""
+    A_hat, A_true = _pair(A_hat, A_true)
     denom = float(np.linalg.norm(A_true))
     if denom == 0.0:
         raise ConfigError("reference matrix is zero; relative error undefined")
@@ -44,10 +51,7 @@ def rmse(A_hat: np.ndarray, A_true: np.ndarray) -> float:
 def edge_confusion(A_hat: np.ndarray, A_true: np.ndarray, threshold: float = 1e-10) -> EdgeConfusion:
     """Confusion counts with entry (i, j) an edge iff its magnitude exceeds threshold (finite, >= 0)."""
     check_threshold(threshold, "threshold")
-    A_hat = np.asarray(A_hat, dtype=float)
-    A_true = np.asarray(A_true, dtype=float)
-    if A_hat.shape != A_true.shape:
-        raise ConfigError(f"shape mismatch: {A_hat.shape} vs {A_true.shape}")
+    A_hat, A_true = _pair(A_hat, A_true)
     pred = np.abs(A_hat) > threshold
     true = np.abs(A_true) > threshold
     return EdgeConfusion(

@@ -76,6 +76,11 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """A real number that is not a bool: True is no scale, step or threshold."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _rng(seed) -> np.random.Generator:
     """The generator of `seed`: an integer >= 0, a SeedSequence or None, else a ConfigError names it."""
     integer = is_integer(seed) and seed >= 0
@@ -93,7 +98,7 @@ def check_count(value, name: str) -> None:
 
 def check_positive(value, name: str) -> None:
     """Require a scale, a step or a tolerance to be finite and > 0; the error names it."""
-    if not 0 < value < math.inf:
+    if not (is_real(value) and 0 < value < math.inf):
         raise ConfigError(f"{name} must be finite and > 0, got {value}")
 
 

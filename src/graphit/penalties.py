@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError
-from .model import check_positive
+from .model import check_positive, is_real
 
 # The Potential field that holds each family's shape hyperparameter (None for
 # l1, which has gamma only), and the value that field must exceed.
@@ -54,11 +54,17 @@ class Potential:
         shape = SHAPE_FIELD[self.family]
         if shape is not None:
             value, floor = getattr(self, shape), _SHAPE_FLOOR[shape]
-            if value is None or not floor < value < math.inf:
+            if not (is_real(value) and floor < value < math.inf):
                 raise ConfigError(f"{self.family} requires a finite {shape} > {floor}, got {value}")
         for other in _SHAPE_FLOOR:
             if other != shape and getattr(self, other) is not None:
                 raise ConfigError(f"{self.family} takes no {other}, got {other}={getattr(self, other)}")
+
+    @property
+    def hyperparams(self) -> dict[str, float]:
+        """The hyperparameters a grid varies: gamma, then the family's shape field if it has one."""
+        shape = SHAPE_FIELD[self.family]
+        return {"gamma": self.gamma} if shape is None else {"gamma": self.gamma, shape: getattr(self, shape)}
 
 
 def rho(p: Potential, u) -> np.ndarray | float:

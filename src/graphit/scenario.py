@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .algorithms import EstimatorConfig
+from .algorithms import EstimatorConfig, check_graphem
 from .exceptions import ConfigError
 from .metrics import check_threshold
 from .model import check_count, check_positive, check_support, is_integer
@@ -58,9 +58,8 @@ class Scenario:
             raise ConfigError(f"master_seed must be an integer >= 0, got {self.master_seed}")
         if not self.methods:
             raise ConfigError("at least one method must be selected")
-        graphem = self.potentials.get("graphem")
-        if graphem is not None and graphem.family != "l1":
-            raise ConfigError("graphem uses the l1 potential only")
+        if "graphem" in self.potentials:
+            check_graphem(self.potentials["graphem"])
         for i, m in enumerate(self.methods):
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")
@@ -128,8 +127,6 @@ def _load_potential(cp: configparser.ConfigParser, method: str) -> Potential | N
     family = sec.get("family", default_family)
     if family is None:
         raise ConfigError(f"missing key 'family' in section [{name}]")
-    if method == "graphem" and family != "l1":
-        raise ConfigError("graphem uses the l1 potential only")
     _check_shape_keys(sec, family)
     gamma = _get_typed(sec, "gamma", float)
     shapes = {shape: _get_typed(sec, key, float) for shape, key in _SHAPE_KEYS.items() if key in sec}
@@ -148,10 +145,7 @@ def _load_grid(cp: configparser.ConfigParser, method: str, template: Potential |
         raise ConfigError(f"[{name}] needs a [potential.{method}] section")
     sec = cp[name]
     _check_shape_keys(sec, template.family)
-    shape = SHAPE_FIELD[template.family]
-    axes = {"gamma": _parse_floats(sec, "gamma")}
-    if shape is not None:
-        axes[shape] = _parse_floats(sec, _SHAPE_KEYS[shape])
+    axes = {param: _parse_floats(sec, _SHAPE_KEYS.get(param, param)) for param in template.hyperparams}
     try:
         points = itertools.product(*axes.values())
         return tuple(Potential(template.family, **dict(zip(axes, point))) for point in points)

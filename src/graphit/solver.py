@@ -33,7 +33,7 @@ import numpy as np
 
 from .em_stats import EMStats, QFactors, q_quadratic
 from .exceptions import ConfigError, attempt
-from .model import check_count, check_positive
+from .model import check_count, check_positive, is_real
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class DRConfig:
 
     def __post_init__(self):
         check_positive(self.step, "step")
-        if not 0.0 < self.relaxation < 2.0:
+        if not (is_real(self.relaxation) and 0.0 < self.relaxation < 2.0):
             raise ConfigError(f"relaxation must be in (0, 2), got {self.relaxation}")
         check_positive(self.tol, "tol")
         check_count(self.max_iter, "max_iter")
@@ -77,15 +77,22 @@ def _clip(V: np.ndarray, t: np.ndarray, neg_t: np.ndarray, out: np.ndarray | Non
     return np.maximum(out, neg_t, out=out)
 
 
-def check_weights(Omega: np.ndarray) -> None:
-    """Require the l1 weights to be finite and >= 0: only then is the l1 prox a soft threshold."""
+def check_weights(Omega) -> np.ndarray:
+    """The l1 weights as a float array, which must be finite and >= 0: only then is the l1 prox a soft threshold."""
+    try:
+        Omega = np.asarray(Omega)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise ConfigError("Omega must be an array of real numbers, got a ragged sequence") from None
+    if Omega.dtype.kind not in "iuf":
+        raise ConfigError(f"Omega must be an array of real numbers, got dtype {Omega.dtype}")
     if Omega.size and not (Omega.min() >= 0 and Omega.max() < math.inf):
         raise ConfigError("Omega must be finite and >= 0")
+    return Omega.astype(float, copy=False)
 
 
 def prox_weighted_l1(V: np.ndarray, Omega: np.ndarray, step: float) -> np.ndarray:
     """Entrywise soft-thresholding at thresholds step * Omega."""
-    check_weights(Omega)
+    Omega = check_weights(Omega)
     check_positive(step, "step")
     t = step * Omega
     return V - _clip(V, t, -t)
@@ -147,7 +154,7 @@ def surrogate_value(
 
 def _setup(stats: EMStats, Omega: np.ndarray, cfg: DRConfig, q_factors: QFactors) -> tuple:
     """Of one solve: Phi = W diag(m) W^T as (m, W), the prox scale (`DRConfig`), and the thresholds scale * Omega."""
-    check_weights(Omega)
+    Omega = check_weights(Omega)
     m, W = np.linalg.eigh(stats.Phi)
     curvature = float(m.max()) / float(q_factors.lam.min())
     scale = cfg.step if curvature <= 0.0 else cfg.step / curvature
