@@ -320,6 +320,8 @@ def _cmd_curve(args) -> int:
         raise ConfigError(f"{args.family} takes gamma only, got a shape of {args.shape}")
     potential = Potential(args.family, gamma=args.gamma, **({shape: args.shape} if shape else {}))
     check_count(args.points, "--points")
+    if not math.isfinite(args.u_max - args.u_min):  # also when the span overflows
+        raise ConfigError(f"--u-min and --u-max must be finite, as must their span, got {args.u_min}, {args.u_max}")
     grid = np.linspace(args.u_min, args.u_max, args.points)
     text = export_curve_csv(emit_penalty_curve(potential, grid))
     with _output(args.out) as f:
@@ -329,11 +331,15 @@ def _cmd_curve(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     try:
-        matrix = np.loadtxt(args.matrix_file, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():  # an empty file is reported below, by name
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            matrix = np.loadtxt(args.matrix_file, delimiter=",", ndmin=2)
     except OSError as err:
         raise ConfigError(f"cannot read matrix file: {err}") from None
     except ValueError as err:
         raise ConfigError(f"cannot parse matrix file: {err}") from None
+    if not matrix.size:
+        raise ConfigError(f"matrix file {args.matrix_file} has no data")
     text = export_dot(matrix, args.threshold)
     with _output(args.out) as f:
         f.write(text)

@@ -1,0 +1,79 @@
+"""Rewrite tests/golden: the deterministic outputs of `bench` and `grid` on every shipped config.
+
+Run from the repository root, only at a commit whose outputs are the
+accepted ones (`tests/test_golden.py` compares later commits to them):
+
+    PYTHONPATH=src python3 tests/make_golden.py
+
+It takes about 20 s on two cores. Like `perfbench/reference.json`, the bytes
+assume one numpy and scipy build; `versions.json` records which.
+"""
+
+import contextlib
+import io
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+from graphit.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+VERSIONS = GOLDEN / "versions.json"
+CONFIGS = sorted(path.stem for path in (ROOT / "configs").glob("*.cfg"))
+GRIDS = ("graphit", "graphem")  # every shipped config has a grid for each
+
+
+def versions() -> dict[str, str]:
+    """The numpy and scipy versions of this process."""
+    return {"numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def _run(argv: list[str]) -> str:
+    """The standard output of `graphit ARGV`, which must exit with 0."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    if code != 0:
+        raise RuntimeError(f"graphit {' '.join(argv)} exited with {code}")
+    return stdout.getvalue()
+
+
+def outputs(config: str) -> dict[str, bytes]:
+    """{file name: bytes} of `bench` and of `grid --method M` for each of GRIDS on configs/CONFIG.cfg.
+
+    `bench` writes `results.csv` and the `graph_*.dot` files; its
+    `results_with_times.csv` holds wall times and is left out. Each grid
+    writes `grid_<method>.csv`, and `best.txt` holds the best lines they print.
+    """
+    path = str(ROOT / "configs" / f"{config}.cfg")
+    with tempfile.TemporaryDirectory() as tmp:
+        bench = Path(tmp) / "bench"
+        _run(["bench", path, "--out", str(bench)])
+        files = {out.name: out.read_bytes() for out in sorted(bench.iterdir()) if out.name != "results_with_times.csv"}
+        best = []
+        for method in GRIDS:
+            table = Path(tmp) / f"grid_{method}.csv"
+            best.append(_run(["grid", path, "--method", method, "--out", str(table)]))
+            files[table.name] = table.read_bytes()
+    files["best.txt"] = "".join(best).encode()
+    return files
+
+
+def write() -> None:
+    for config in CONFIGS:
+        directory = GOLDEN / config
+        shutil.rmtree(directory, ignore_errors=True)
+        directory.mkdir(parents=True)
+        for name, data in outputs(config).items():
+            (directory / name).write_bytes(data)
+        print(config, "written", flush=True)
+    VERSIONS.write_text(json.dumps(versions(), indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    write()

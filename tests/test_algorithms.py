@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import graphit.algorithms as algorithms
 from graphit import (
     FAMILIES,
+    ConfigError,
     DRConfig,
     EstimatorConfig,
     ModelParams,
@@ -145,8 +146,9 @@ class TestGraphIT:
 class TestGraphEM:
     def test_requires_l1_family(self):
         _, params, traj = small_problem()
-        with pytest.raises(ValueError):
-            graphem(traj.observations, params, default_init(4), EstimatorConfig(potential=LOGSUM))
+        for cfg in (EstimatorConfig(potential=LOGSUM), EstimatorConfig()):
+            with pytest.raises(ConfigError, match="^graphem uses the l1 potential only$"):
+                graphem(traj.observations, params, default_init(4), cfg)
 
     def test_weight_matrices_constant_over_iterations(self):
         from graphit import weight_matrix

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from concurrent.futures import Future
 from decimal import Decimal
 from pathlib import Path
@@ -225,9 +226,10 @@ class TestLoadScenario:
             load_scenario(cfg)
 
     def test_graphem_family_must_be_l1(self, tmp_path):
+        """`Scenario` reports it, with graphem's own message; the reader keeps no copy of the rule."""
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(QUICK_CFG + "family = mcp\nlambda = 1\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^graphem uses the l1 potential only$"):
             load_scenario(cfg)
 
     def test_repo_configs_parse(self):
@@ -406,7 +408,7 @@ class TestGridSearch:
 
     def test_graphem_rejects_a_non_l1_point(self):
         grid = [l1(1.0), Potential("log-sum", gamma=1.0, lam=0.1)]
-        with pytest.raises(ConfigError, match="l1"):
+        with pytest.raises(ConfigError, match="^graphem uses the l1 potential only$"):
             grid_search(small_scenario(), "graphem", grid)
 
     def test_config_grid_is_the_gamma_by_shape_product_in_file_order(self, tmp_path):
@@ -607,6 +609,29 @@ class TestMainCommand:
         assert lines[0] == "u,rho"
         assert len(lines) == 12
         assert lines[1].split(",") == ["0.0000", "0.0000"]
+        assert main(["curve", "l1", "1.0", "--u-min=-2", "--u-max=-1", "--points", "2", "--out", str(out)]) == 0
+        assert out.read_text() == "u,rho\n-2.0000,2.0000\n-1.0000,1.0000\n"
+
+    @pytest.mark.parametrize(
+        "bounds", [["--u-max", "inf"], ["--u-min", "nan"], ["--u-min=-inf"], ["--u-min=-1e308", "--u-max", "1e308"]]
+    )
+    def test_curve_rejects_non_finite_bounds_by_name(self, capsys, bounds):
+        """An infinite or NaN bound, or a span that overflows, is a configuration error, not rows of nan."""
+        assert main(["curve", "l1", "1", "--points", "3", *bounds]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: --u-min and --u-max must be finite")
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_export_dot_rejects_a_matrix_file_with_no_data(self, tmp_path, capsys, text):
+        matrix = tmp_path / "empty.csv"
+        matrix.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's "input contained no data" warning must not escape
+            assert main(["export-dot", str(matrix), "0.1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: matrix file {matrix} has no data\n"
 
     def test_export_dot_command(self, tmp_path, capsys):
         matrix = tmp_path / "m.csv"
@@ -731,6 +756,7 @@ class TestMainCommand:
                 ["'lambda'", "[potential.graphit]", "scad"],
             ),
             (QUICK_CFG + "lambda = 5\n", ["'lambda'", "[potential.graphem]", "l1"]),
+            (QUICK_CFG + "family = log-sum\na = 3\n", ["'a'", "[potential.graphem]", "log-sum"]),
             (QUICK_CFG + "\n[grid.graphem]\ngamma = 1 10\na = 3\n", ["'a'", "[grid.graphem]", "l1"]),
             (QUICK_CFG.replace("gamma = 10\nlambda", "gamma = inf\nlambda"), ["[potential.graphit]", "gamma", "inf"]),
             (QUICK_CFG.replace("lambda = 0.1", "lambda = inf"), ["[potential.graphit]", "lam", "inf"]),
@@ -764,6 +790,7 @@ class TestMainCommand:
             "grid-without-potential",
             "lambda-for-scad",
             "lambda-for-l1",
+            "a-for-non-l1-graphem",
             "grid-a-for-l1",
             "infinite-gamma",
             "infinite-lambda",

@@ -1,8 +1,10 @@
 """A bad argument is a ConfigError, which is both a GraphitError and a ValueError, and names the argument.
 
 `ConfigError` is the package's one error type for a bad argument, so a
-caller may catch it as the package's error or as the builtin one. The last
-test keeps it the only one: no module of the package raises a bare
+caller may catch it as the package's error or as the builtin one. Each
+argument rule checks the type before the range, so a value of the wrong
+type is a ConfigError too, never a raw TypeError. The last test keeps
+ConfigError the only one: no module of the package raises a bare
 `ValueError`.
 """
 
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from graphit import (
     ConfigError,
@@ -32,9 +36,13 @@ from graphit import (
     simulate,
     spectral_norm,
 )
+from graphit.algorithms import check_graphem
 from graphit.cli import grid_search, run_benchmark
 from graphit.em_stats import EMStats
+from graphit.metrics import check_threshold
+from graphit.model import check_count, check_positive, check_support
 from graphit.scenario import Scenario
+from graphit.solver import check_weights
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "graphit"
 
@@ -42,6 +50,7 @@ I2 = np.eye(2)
 PARAMS = ModelParams(A=0.5 * I2, H=I2, Q=0.1 * I2, R=0.1 * I2, mu0=np.zeros(2), Sigma0=0.1 * I2)
 STATS = EMStats(Psi=I2, Phi=I2, Delta=I2)
 OBSERVATIONS = np.zeros((5, 2))
+LOG_SUM = Potential("log-sum", gamma=1.0, lam=0.1)
 SCENARIO = dict(scenario_id="errors", n_x=2, n_y=2, s=1, k=5, methods=("graphem",),
                 potentials={"graphem": Potential("l1", gamma=1.0)})
 
@@ -73,14 +82,20 @@ CASES = {
         lambda: graphit(OBSERVATIONS, PARAMS, I2, EstimatorConfig()), "graphit requires a potential"
     ),
     "graphem.potential": (
-        lambda: graphem(OBSERVATIONS, PARAMS, I2, EstimatorConfig(potential=Potential("log-sum", gamma=1.0, lam=0.1))),
+        lambda: graphem(OBSERVATIONS, PARAMS, I2, EstimatorConfig(potential=LOG_SUM)),
         "graphem uses the l1 potential only",
     ),
     "compute_stats.smoother": (
         lambda: compute_stats(SmootherRun(np.zeros((1, 2)), I2, np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), np.zeros(0))),
         "smoother run must cover at least one step",
     ),
+    "check_graphem": (lambda: check_graphem(Potential("l1", gamma=1.0), LOG_SUM), "graphem uses the l1 potential only"),
+    "Scenario.potentials": (
+        lambda: Scenario(**{**SCENARIO, "potentials": {"graphem": LOG_SUM}}), "graphem uses the l1 potential only"
+    ),
     "prox_weighted_l1.Omega": (lambda: prox_weighted_l1(I2, -I2, 1.0), "Omega must be finite and >= 0"),
+    "check_weights.ragged": (lambda: check_weights([[1.0], [1.0, 1.0]]), "Omega must be an array of real numbers"),
+    "check_weights.dtype": (lambda: check_weights(np.ones((2, 2), complex)), "Omega must be an array of real numbers"),
     "prox_weighted_l1.step": (lambda: prox_weighted_l1(I2, I2, 0.0), "step must be finite and > 0"),
     "douglas_rachford.Omega": (lambda: douglas_rachford(STATS, I2, np.full((2, 2), np.nan), I2), "Omega must be finite"),
     "grid_search.jobs": (
@@ -100,6 +115,68 @@ def test_bad_argument_is_a_config_error(call, fragment):
     assert isinstance(caught.value, GraphitError)
     assert isinstance(caught.value, ValueError)
     assert fragment in str(caught.value)
+
+
+# A value of each type that no argument takes: None, text, bytes, bool,
+# complex, nested lists (ragged, mixed or numeric), an object, a 0-d array.
+WRONG_TYPES = st.one_of(
+    st.none(),
+    st.text(max_size=3),
+    st.binary(max_size=3),
+    st.booleans(),
+    st.complex_numbers(),
+    st.lists(st.lists(st.one_of(st.floats(), st.none(), st.text(max_size=2)), max_size=3), max_size=3),
+    st.builds(object),
+    st.one_of(st.floats(), st.integers(-3, 3), st.booleans()).map(np.array),
+)
+
+# (call with the value in place of one argument, how its message starts), per argument owner and each
+# public constructor or function field that one guards.
+OWNERS = {
+    "check_count": (lambda v: check_count(v, "count"), "count must"),
+    "check_positive": (lambda v: check_positive(v, "scale"), "scale must"),
+    "check_support": (lambda v: check_support(v, 3, "S"), "S must"),
+    "check_threshold": (lambda v: check_threshold(v, "threshold"), "threshold must"),
+    "check_weights": (check_weights, "Omega must"),
+    "edge_confusion.threshold": (lambda v: edge_confusion(I2, I2, v), "threshold must"),
+    "EstimatorConfig.epsilon": (lambda v: EstimatorConfig(epsilon=v), "epsilon must"),
+    "EstimatorConfig.max_outer": (lambda v: EstimatorConfig(max_outer=v), "max_outer must"),
+    **{f"DRConfig.{name}": ((lambda v, name=name: DRConfig(**{name: v})), f"{name} must")
+       for name in ("step", "relaxation", "tol", "max_iter")},
+    "Potential.gamma": (lambda v: Potential("l1", gamma=v), "gamma must"),
+    "Potential.lam": (lambda v: Potential("log-sum", gamma=1.0, lam=v), "log-sum requires a finite lam"),
+    "Potential.a": (lambda v: Potential("scad", gamma=1.0, a=v), "scad requires a finite a"),
+    **{f"Scenario.{name}": ((lambda v, name=name: Scenario(**{**SCENARIO, name: v})), f"{name} must")
+       for name in ("n_x", "n_y", "s", "k", "sigma_q", "sigma_r", "sigma_0", "n_realizations", "master_seed",
+                    "epsilon", "max_outer", "edge_threshold", "target_norm")},
+    "simulate.K": (lambda v: simulate(PARAMS, v, 0), "K must"),
+    "simulate.seed": (lambda v: simulate(PARAMS, 5, v), "seed must"),
+    "generate_sparse_A.N_x": (lambda v: generate_sparse_A(v, 1), "N_x must"),
+    "generate_sparse_A.S": (lambda v: generate_sparse_A(3, v), "S must"),
+    "generate_sparse_A.target_norm": (lambda v: generate_sparse_A(3, 2, v), "target_norm must"),
+    "generate_sparse_A.seed": (lambda v: generate_sparse_A(3, 2, 0.9, v), "seed must"),
+}
+
+
+@pytest.mark.parametrize("owner", OWNERS)
+@given(value=WRONG_TYPES)
+@example(value=None)
+@example(value="1")
+@example(value="x")
+@example(value=b"1")
+@example(value=True)
+@example(value=1j)
+@example(value=[[1.0, 1.0], [1.0, 1.0]])
+@example(value=[[1.0, 1.0], [1.0]])
+@example(value=object())
+@example(value=np.array(1.0))
+def test_a_wrong_type_is_a_config_error_that_names_the_argument(owner, value):
+    """A call succeeds, or raises a ConfigError that names the argument; no raw TypeError or AttributeError escapes."""
+    call, start = OWNERS[owner]
+    try:
+        call(value)
+    except ConfigError as err:
+        assert str(err).startswith(start)
 
 
 def test_empty_weights_are_accepted():

@@ -66,6 +66,15 @@ class TestConstruction:
             Potential(family, gamma=1.0, **shapes)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_hyperparams_are_gamma_then_the_shape_field(family):
+    shape = SHAPE_FIELD[family]
+    p = Potential(family, gamma=2.5, **({shape: 3.5} if shape else {}))
+    assert list(p.hyperparams) == ["gamma"] + ([shape] if shape else [])
+    assert p.hyperparams == {name: getattr(p, name) for name in p.hyperparams}
+    assert p.hyperparams["gamma"] == 2.5 and (shape is None or p.hyperparams[shape] == 3.5)
+
+
 class TestRho:
     @pytest.mark.parametrize("p", ALL_POTENTIALS, ids=FAMILIES)
     def test_zero_at_origin(self, p):

@@ -15,7 +15,7 @@ from graphit import (
     surrogate_value,
 )
 from graphit.em_stats import EMStats
-from graphit.solver import QFactors, _setup, douglas_rachford_lockstep
+from graphit.solver import QFactors, _setup, check_weights, douglas_rachford_lockstep
 
 from oracles import forward_backward, prox_quadratic_oracle, random_spd, reference_douglas_rachford
 
@@ -60,6 +60,23 @@ class TestProxWeightedL1:
             V2 = rng.standard_normal((4, 4))
             lhs = np.linalg.norm(prox_weighted_l1(V1, Omega, 0.7) - prox_weighted_l1(V2, Omega, 0.7))
             assert lhs <= np.linalg.norm(V1 - V2) + 1e-12
+
+    def test_takes_weights_as_nested_lists(self):
+        V = np.array([[2.0, -0.2], [0.0, -3.0]])
+        weights = [[0.5, 0.5], [1, 1]]
+        np.testing.assert_array_equal(prox_weighted_l1(V, weights, 1.0), prox_weighted_l1(V, np.array(weights), 1.0))
+
+
+class TestCheckWeights:
+    def test_returns_a_float_array_for_a_list(self):
+        Omega = check_weights([[0, 1], [2.5, 3]])
+        assert Omega.dtype == np.float64
+        np.testing.assert_array_equal(Omega, [[0.0, 1.0], [2.5, 3.0]])
+
+    def test_returns_a_float_array_itself(self):
+        """A float ndarray is returned as is, so the solver's thresholds keep their bits."""
+        Omega = np.full((3, 3), 0.5)
+        assert check_weights(Omega) is Omega
 
 
 class TestProxQuadratic:
