@@ -90,9 +90,6 @@ CASES = {
         "smoother run must cover at least one step",
     ),
     "check_graphem": (lambda: check_graphem(Potential("l1", gamma=1.0), LOG_SUM), "graphem uses the l1 potential only"),
-    "Scenario.potentials": (
-        lambda: Scenario(**{**SCENARIO, "potentials": {"graphem": LOG_SUM}}), "graphem uses the l1 potential only"
-    ),
     "prox_weighted_l1.Omega": (lambda: prox_weighted_l1(I2, -I2, 1.0), "Omega must be finite and >= 0"),
     "check_weights.ragged": (lambda: check_weights([[1.0], [1.0, 1.0]]), "Omega must be an array of real numbers"),
     "check_weights.dtype": (lambda: check_weights(np.ones((2, 2), complex)), "Omega must be an array of real numbers"),
