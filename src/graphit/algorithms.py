@@ -34,7 +34,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .em_stats import EMStats, QFactors, compute_stats
 from .exceptions import ConfigError, NonFiniteError, SingularPredictiveCovarianceError, SingularStatisticsError, attempt
 from .kalman import kalman_filter, kalman_filter_lockstep, rts_smoother
-from .model import ModelParams, check_count, check_positive, spectral_norm
+from .model import ModelParams, check_count, check_positive, real_array, spectral_norm
 from .penalties import Potential, penalty_value, weight_matrix
 from .solver import DRConfig, douglas_rachford, douglas_rachford_lockstep
 
@@ -73,7 +73,7 @@ def objective(
     The transition matrix stored in `params_rest` is ignored and replaced
     by A.
     """
-    run = kalman_filter(dataclasses.replace(params_rest, A=np.asarray(A, dtype=float)), observations)
+    run = kalman_filter(dataclasses.replace(params_rest, A=A), observations)
     value = run.neg_log_lik
     if potential is not None:
         value += penalty_value(potential, A)
@@ -94,7 +94,7 @@ class _Fit:
 
     def __init__(self, A0: np.ndarray, cfg: EstimatorConfig):
         self.cfg = cfg
-        self.A = np.array(A0, dtype=float)
+        self.A = real_array(A0, "A0").copy()
         self.trace: list[float] = []
         self.iterates: list[np.ndarray] = []
         self.stopped_by: Literal["precision", "cap"] = "cap"

@@ -25,13 +25,14 @@ it, once per fit; the bound and the Douglas-Rachford solver take its factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .exceptions import ConfigError, DimensionMismatchError, NonFiniteError, NotPositiveDefiniteError
 from .kalman import SmootherRun
+from .model import real_array
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,10 @@ class EMStats:
     Psi: np.ndarray    # (N_x, N_x)
     Phi: np.ndarray    # (N_x, N_x), symmetric PSD
     Delta: np.ndarray  # (N_x, N_x)
+
+    def __post_init__(self):  # each field as a float array
+        for f in fields(self):
+            object.__setattr__(self, f.name, real_array(getattr(self, f.name), f.name))
 
 
 def compute_stats(smoother: SmootherRun) -> EMStats:
@@ -75,7 +80,7 @@ class QFactors:
 
     @classmethod
     def of(cls, Q: np.ndarray) -> QFactors:
-        Q = np.asarray(Q, dtype=float)
+        Q = real_array(Q, "Q")
         if not np.isfinite(Q).all():
             raise NonFiniteError("Q is not finite, which the M-step needs")
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:

@@ -22,7 +22,7 @@ class NotPositiveDefiniteError(GraphitError, ValueError):
 
 
 class NonFiniteError(GraphitError, ValueError):
-    """An observation, a covariance or the likelihood is NaN or infinite, or an observation is not a real number."""
+    """An observation, a covariance or the likelihood is NaN or infinite."""
 
 
 class SingularPredictiveCovarianceError(GraphitError, RuntimeError):

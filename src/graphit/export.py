@@ -15,6 +15,7 @@ import numpy as np
 
 from .exceptions import ConfigError
 from .metrics import check_threshold
+from .model import real_array
 from .penalties import Potential
 
 
@@ -93,7 +94,7 @@ def export_dot(A: np.ndarray, threshold: float = 1e-10) -> str:
     and so must every entry be finite: a NaN has no edge to draw or omit.
     """
     check_threshold(threshold, "threshold")
-    A = np.asarray(A, dtype=float)
+    A = real_array(A, "A")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ConfigError(f"expected a square matrix, got shape {A.shape}")
     if not np.isfinite(A).all():

@@ -77,7 +77,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .exceptions import DimensionMismatchError, NonFiniteError, SingularPredictiveCovarianceError, attempt
-from .model import ModelParams, check_transition, validate
+from .model import ModelParams, check_transition, real_array, validate
 
 # Cholesky-diagonal condition estimate beyond which S_k is treated as singular.
 CONDITION_LIMIT = 1e12
@@ -226,13 +226,7 @@ class _FilterPass:
 def _observations(params: ModelParams, observations) -> np.ndarray:
     """The observations as a finite (K, N_y) array, once the model has been validated."""
     validate(params, semidefinite_ok=True)
-    try:
-        ys = np.asarray(observations)
-    except ValueError:  # numpy's "inhomogeneous shape"
-        raise DimensionMismatchError(f"observations must have shape (K, {params.ny}), got a ragged sequence") from None
-    if ys.dtype.kind not in "biuf":
-        raise NonFiniteError("observations must be finite real numbers")
-    ys = ys.astype(float, copy=False)
+    ys = real_array(observations, "observations")
     if ys.ndim == 1:
         ys = ys[:, None]
     if ys.ndim != 2 or ys.shape[0] < 1 or ys.shape[1] != params.ny:
@@ -393,6 +387,8 @@ def kalman_filter(params: ModelParams, observations: np.ndarray) -> FilterRun:
 
     Raises
     ------
+    ConfigError
+        If the observations are ragged or not real numbers (`real_array`).
     NonFiniteError
         If the observations, a covariance or the likelihood is not finite.
     SingularPredictiveCovarianceError

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError
-from .model import is_real
+from .model import is_real, real_array
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,7 @@ def check_threshold(value, name: str) -> None:
 
 def _pair(A_hat, A_true) -> tuple[np.ndarray, np.ndarray]:
     """An estimate and its truth as float arrays of one shape."""
-    A_hat = np.asarray(A_hat, dtype=float)
-    A_true = np.asarray(A_true, dtype=float)
+    A_hat, A_true = real_array(A_hat, "A_hat"), real_array(A_true, "A_true")
     if A_hat.shape != A_true.shape:
         raise ConfigError(f"shape mismatch: {A_hat.shape} vs {A_true.shape}")
     return A_hat, A_true

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -50,6 +50,10 @@ class ModelParams:
     mu0: np.ndarray
     Sigma0: np.ndarray
 
+    def __post_init__(self):  # each field as a float array; `validate` checks shapes and values
+        for f in fields(self):
+            object.__setattr__(self, f.name, real_array(getattr(self, f.name), f.name))
+
     @property
     def nx(self) -> int:
         return self.A.shape[0]
@@ -79,6 +83,17 @@ def is_integer(value) -> bool:
 def is_real(value) -> bool:
     """A real number that is not a bool: True is no scale, step or threshold."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def real_array(value, name: str) -> np.ndarray:
+    """`value` as a float array, itself if it is one; a ConfigError naming it if ragged or not integers or floats."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise ConfigError(f"{name} must be an array of real numbers, got a ragged sequence") from None
+    if array.dtype.kind not in "iuf":  # bool is no number, as in `is_real`
+        raise ConfigError(f"{name} must be an array of real numbers, got dtype {array.dtype}")
+    return array.astype(float, copy=False)
 
 
 def _rng(seed) -> np.random.Generator:
@@ -234,7 +249,7 @@ def simulate(params: ModelParams, K: int, seed, *, noiseless: bool = False) -> T
 
 def spectral_norm(M: np.ndarray) -> float:
     """Largest singular value of M, computed exactly from its SVD."""
-    M = np.asarray(M, dtype=float)
+    M = real_array(M, "M")
     if not np.all(np.isfinite(M)):
         raise ConfigError("spectral_norm requires finite entries")
     if M.size == 0:

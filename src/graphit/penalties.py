@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError
-from .model import check_positive, is_real
+from .model import check_positive, is_real, real_array
 
 # The Potential field that holds each family's shape hyperparameter (None for
 # l1, which has gamma only), and the value that field must exceed.
@@ -69,7 +69,7 @@ class Potential:
 
 def rho(p: Potential, u) -> np.ndarray | float:
     """Potential value at |u|. Vectorized over array input."""
-    au = np.abs(np.asarray(u, dtype=float))
+    au = np.abs(real_array(u, "u"))
     g = p.gamma
     if p.family == "log-sum":
         out = g * p.lam * (np.log(au + p.lam) - np.log(p.lam))
@@ -97,7 +97,7 @@ def rho_prime(p: Potential, u) -> np.ndarray | float:
     For scad the middle branch is (a gamma - |u|) / (a - 1), the derivative of
     the quadratic blend; it decays continuously from gamma to 0.
     """
-    au = np.abs(np.asarray(u, dtype=float))
+    au = np.abs(real_array(u, "u"))
     g = p.gamma
     if p.family == "log-sum":
         out = g * p.lam / (au + p.lam)
@@ -128,5 +128,5 @@ def weight_matrix(p: Potential, A_prev: np.ndarray) -> np.ndarray:
 
 def emit_penalty_curve(p: Potential, grid) -> np.ndarray:
     """Tabulate (u, rho(|u|)) over a grid of abscissas, one row per point."""
-    grid = np.asarray(grid, dtype=float)
+    grid = real_array(grid, "grid")
     return np.column_stack([grid, rho(p, grid)])

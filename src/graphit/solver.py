@@ -33,7 +33,7 @@ import numpy as np
 
 from .em_stats import EMStats, QFactors, q_quadratic
 from .exceptions import ConfigError, attempt
-from .model import check_count, check_positive, is_real
+from .model import check_count, check_positive, is_real, real_array
 
 
 @dataclass(frozen=True)
@@ -79,19 +79,15 @@ def _clip(V: np.ndarray, t: np.ndarray, neg_t: np.ndarray, out: np.ndarray | Non
 
 def check_weights(Omega) -> np.ndarray:
     """The l1 weights as a float array, which must be finite and >= 0: only then is the l1 prox a soft threshold."""
-    try:
-        Omega = np.asarray(Omega)
-    except ValueError:  # numpy's "inhomogeneous shape"
-        raise ConfigError("Omega must be an array of real numbers, got a ragged sequence") from None
-    if Omega.dtype.kind not in "iuf":
-        raise ConfigError(f"Omega must be an array of real numbers, got dtype {Omega.dtype}")
+    Omega = real_array(Omega, "Omega")
     if Omega.size and not (Omega.min() >= 0 and Omega.max() < math.inf):
         raise ConfigError("Omega must be finite and >= 0")
-    return Omega.astype(float, copy=False)
+    return Omega
 
 
 def prox_weighted_l1(V: np.ndarray, Omega: np.ndarray, step: float) -> np.ndarray:
     """Entrywise soft-thresholding at thresholds step * Omega."""
+    V = real_array(V, "V")
     Omega = check_weights(Omega)
     check_positive(step, "step")
     t = step * Omega
@@ -142,7 +138,7 @@ def prox_quadratic(V: np.ndarray, stats: EMStats, Q: np.ndarray, step: float) ->
     """Proximal map of the quadratic term: argmin_A q(A) + ||A - V||_F^2 / (2 step)."""
     q_factors = QFactors.of(Q)
     m, W = np.linalg.eigh(stats.Phi)
-    return _QuadraticProx(stats.Delta, q_factors.lam, q_factors.U, m, W, step)(V)
+    return _QuadraticProx(stats.Delta, q_factors.lam, q_factors.U, m, W, step)(real_array(V, "V"))
 
 
 def surrogate_value(
@@ -216,10 +212,11 @@ def douglas_rachford(
     """
     if q_factors is None:
         q_factors = QFactors.of(Q)
+    A_init = real_array(A_init, "A_init")
     m, W, scale, t = _setup(stats, Omega, cfg, q_factors)
     prox_q = _QuadraticProx(stats.Delta, q_factors.lam, q_factors.U, m, W, scale)
     neg_t = -t
-    z = np.array(A_init, dtype=float)
+    z = A_init.copy()
     c, v, y, x, x_prev = (np.empty_like(z) for _ in range(5))
     norm_prev = 0.0
     residual = math.inf

@@ -3,7 +3,8 @@
 `ConfigError` is the package's one error type for a bad argument, so a
 caller may catch it as the package's error or as the builtin one. Each
 argument rule checks the type before the range, so a value of the wrong
-type is a ConfigError too, never a raw TypeError. The last test keeps
+type is a ConfigError too, never a raw TypeError; every array argument is
+converted by one owner, `real_array`, whose ConfigError names it. The last test keeps
 ConfigError the only one: no module of the package raises a bare
 `ValueError`.
 """
@@ -27,11 +28,18 @@ from graphit import (
     compute_stats,
     douglas_rachford,
     edge_confusion,
+    emit_penalty_curve,
     export_dot,
     generate_sparse_A,
     graphem,
     graphit,
+    kalman_filter,
+    objective,
+    penalty_value,
+    prox_quadratic,
     prox_weighted_l1,
+    rho,
+    rho_prime,
     rmse,
     simulate,
     spectral_norm,
@@ -51,6 +59,7 @@ PARAMS = ModelParams(A=0.5 * I2, H=I2, Q=0.1 * I2, R=0.1 * I2, mu0=np.zeros(2), 
 STATS = EMStats(Psi=I2, Phi=I2, Delta=I2)
 OBSERVATIONS = np.zeros((5, 2))
 LOG_SUM = Potential("log-sum", gamma=1.0, lam=0.1)
+L1 = Potential("l1", gamma=1.0)
 SCENARIO = dict(scenario_id="errors", n_x=2, n_y=2, s=1, k=5, methods=("graphem",),
                 potentials={"graphem": Potential("l1", gamma=1.0)})
 
@@ -93,6 +102,7 @@ CASES = {
     "prox_weighted_l1.Omega": (lambda: prox_weighted_l1(I2, -I2, 1.0), "Omega must be finite and >= 0"),
     "check_weights.ragged": (lambda: check_weights([[1.0], [1.0, 1.0]]), "Omega must be an array of real numbers"),
     "check_weights.dtype": (lambda: check_weights(np.ones((2, 2), complex)), "Omega must be an array of real numbers"),
+    "penalty_value.complex": (lambda: penalty_value(L1, np.array([1j])), "u must be an array of real numbers"),
     "prox_weighted_l1.step": (lambda: prox_weighted_l1(I2, I2, 0.0), "step must be finite and > 0"),
     "douglas_rachford.Omega": (lambda: douglas_rachford(STATS, I2, np.full((2, 2), np.nan), I2), "Omega must be finite"),
     "grid_search.jobs": (
@@ -167,6 +177,9 @@ OWNERS = {
 @example(value=[[1.0, 1.0], [1.0]])
 @example(value=object())
 @example(value=np.array(1.0))
+@example(value=np.array([["a", "b"], ["c", "d"]]))
+@example(value=np.ones((2, 2), complex))
+@example(value=np.ones((2, 2), bool))
 def test_a_wrong_type_is_a_config_error_that_names_the_argument(owner, value):
     """A call succeeds, or raises a ConfigError that names the argument; no raw TypeError or AttributeError escapes."""
     call, start = OWNERS[owner]
@@ -174,6 +187,63 @@ def test_a_wrong_type_is_a_config_error_that_names_the_argument(owner, value):
         call(value)
     except ConfigError as err:
         assert str(err).startswith(start)
+
+
+# A value of each type that no array argument takes: None, text, bytes, bool, complex, an object,
+# nested lists that are ragged or hold None or text, and arrays of bools, complex numbers or text.
+WRONG_ARRAYS = st.one_of(
+    st.none(),
+    st.text(max_size=3),
+    st.binary(max_size=3),
+    st.booleans(),
+    st.complex_numbers(),
+    st.builds(object),
+    st.lists(st.lists(st.floats(), max_size=3), min_size=2, max_size=3).filter(
+        lambda rows: len({len(row) for row in rows}) > 1
+    ),
+    st.lists(st.lists(st.one_of(st.none(), st.text(max_size=2)), min_size=1, max_size=3), min_size=1, max_size=3),
+    st.lists(st.one_of(st.booleans(), st.complex_numbers(), st.text(max_size=2)), min_size=1, max_size=4).map(np.array),
+)
+
+# (call with the value in place of one array argument, the argument's name), per public array argument.
+ARRAY_OWNERS = {
+    **{f"ModelParams.{name}": ((lambda v, name=name: ModelParams(**{**PARAMS.__dict__, name: v})), name)
+       for name in ("A", "H", "Q", "R", "mu0", "Sigma0")},
+    **{f"EMStats.{name}": ((lambda v, name=name: EMStats(**{**STATS.__dict__, name: v})), name)
+       for name in ("Psi", "Phi", "Delta")},
+    "kalman_filter.observations": (lambda v: kalman_filter(PARAMS, v), "observations"),
+    "objective.A": (lambda v: objective(v, PARAMS, OBSERVATIONS), "A"),
+    "graphit.A0": (lambda v: graphit(OBSERVATIONS, PARAMS, v, EstimatorConfig(potential=L1)), "A0"),
+    "rmse.A_hat": (lambda v: rmse(v, I2), "A_hat"),
+    "rmse.A_true": (lambda v: rmse(I2, v), "A_true"),
+    "edge_confusion.A_hat": (lambda v: edge_confusion(v, I2), "A_hat"),
+    "export_dot.A": (export_dot, "A"),
+    "spectral_norm.M": (spectral_norm, "M"),
+    "rho.u": (lambda v: rho(L1, v), "u"),
+    "rho_prime.u": (lambda v: rho_prime(LOG_SUM, v), "u"),
+    "emit_penalty_curve.grid": (lambda v: emit_penalty_curve(L1, v), "grid"),
+    "douglas_rachford.Q": (lambda v: douglas_rachford(STATS, v, I2, I2), "Q"),
+    "douglas_rachford.Omega": (lambda v: douglas_rachford(STATS, I2, v, I2), "Omega"),
+    "douglas_rachford.A_init": (lambda v: douglas_rachford(STATS, I2, I2, v), "A_init"),
+    "prox_weighted_l1.V": (lambda v: prox_weighted_l1(v, I2, 1.0), "V"),
+    "prox_weighted_l1.Omega": (lambda v: prox_weighted_l1(I2, v, 1.0), "Omega"),
+    "prox_quadratic.V": (lambda v: prox_quadratic(v, STATS, I2, 1.0), "V"),
+    "prox_quadratic.Q": (lambda v: prox_quadratic(I2, STATS, v, 1.0), "Q"),
+}
+
+
+@pytest.mark.parametrize("owner", ARRAY_OWNERS)
+@given(value=WRONG_ARRAYS)
+@example(value=[[1.0, 1.0], [1.0]])
+@example(value=np.array([["a", "b"], ["c", "d"]]))
+@example(value=np.ones((2, 2), complex))
+@example(value=np.ones((2, 2), bool))
+def test_an_array_of_the_wrong_type_is_a_config_error_that_names_it(owner, value):
+    """A ragged or non-real array argument is a ConfigError from `real_array` that names it, whatever the call."""
+    call, name = ARRAY_OWNERS[owner]
+    with pytest.raises(ConfigError, match=f"^{name} must be an array of real numbers, got "):
+        call(value)
+
 
 
 def test_empty_weights_are_accepted():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from graphit import (
+    ConfigError,
     DimensionMismatchError,
     GraphitError,
     ModelParams,
@@ -107,16 +108,16 @@ class TestKalmanFilter:
     @pytest.mark.parametrize(
         "observations, error, match",
         [
-            ([[1.0], [2.0, 3.0]], DimensionMismatchError, r"^observations must have shape \(K, 1\), got a ragged sequence$"),
-            ("ab", NonFiniteError, "^observations must be finite real numbers$"),
-            (["1.0", "2.0"], NonFiniteError, "^observations must be finite real numbers$"),
-            ([[1.0], [None]], NonFiniteError, "^observations must be finite real numbers$"),
-            (np.ones((4, 1)) + 1j, NonFiniteError, "^observations must be finite real numbers$"),
+            ([[1.0], [2.0, 3.0]], ConfigError, "^observations must be an array of real numbers, got a ragged sequence$"),
+            ("ab", ConfigError, "^observations must be an array of real numbers, got dtype <U2$"),
+            (["1.0", "2.0"], ConfigError, "^observations must be an array of real numbers, got dtype <U3$"),
+            ([[1.0], [None]], ConfigError, "^observations must be an array of real numbers, got dtype object$"),
+            (np.ones((4, 1)) + 1j, ConfigError, "^observations must be an array of real numbers, got dtype complex128$"),
         ],
         ids=["ragged", "string", "numeric-strings", "object", "complex"],
     )
     def test_rejects_ragged_or_non_real_observations(self, observations, error, match):
-        """Ragged, non-numeric and complex observations are typed errors; each lockstep fit gets it as its entry."""
+        """Ragged, non-numeric and complex observations are a ConfigError; each lockstep fit gets it as its entry."""
         params, A0 = _scalar_params(Q=0.1), np.array([[0.5]])
         cfg = EstimatorConfig(potential=Potential("l1", gamma=1.0))
         points = [Potential("l1", gamma=g) for g in (1.0, 2.0)]

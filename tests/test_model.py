@@ -87,6 +87,20 @@ class TestValidate:
             validate(psd)
 
 
+class TestModelParams:
+    def test_nested_lists_are_stored_as_float_arrays(self):
+        """Each field is converted by `real_array`, so lists of integers filter as the arrays they spell."""
+        params = ModelParams(A=[[0.5, 0], [0, 0.5]], H=[[1, 0], [0, 1]], Q=[[1, 0], [0, 1]], R=[[1, 0], [0, 1]],
+                             mu0=[0, 0], Sigma0=[[1, 0], [0, 1]])
+        assert all(isinstance(M, np.ndarray) and M.dtype == np.float64 for M in params.__dict__.values())
+        ys = np.ones((5, 2))
+        assert kalman_filter(params, ys).neg_log_lik == kalman_filter(_identity_params(), ys).neg_log_lik
+
+    def test_keeps_a_float_array_itself(self):
+        A = 0.5 * np.eye(2)
+        assert ModelParams(**{**_identity_params().__dict__, "A": A}).A is A
+
+
 class TestSimulate:
     def test_noiseless_geometric_decay(self):
         params = ModelParams(
