@@ -149,9 +149,11 @@ def _benchmark(scenario: Scenario, jobs: int = 1):
 
     rows: list[BenchmarkRow] = []
     for method in scenario.methods:
-        good = [fit for fit in (outcome["methods"][method] for outcome in outcomes) if fit["ok"]]
+        fits = [outcome["methods"][method] for outcome in outcomes]
+        good = [fit for fit in fits if fit["ok"]]
         if len(good) < n:
-            warnings.warn(f"{n - len(good)} of {n} realizations failed for method {method}")
+            why = "; ".join(f"realization {r}: {fit['error']}" for r, fit in enumerate(fits) if not fit["ok"])
+            warnings.warn(f"{n - len(good)} of {n} realizations failed for method {method} ({why})")
         pot = scenario.potentials.get(method)
         means = {key: float(np.mean([fit[key] for fit in good])) if good else math.nan for key in _AVERAGED}
         rows.append(

@@ -101,6 +101,7 @@ def q_quadratic(A: np.ndarray, stats: EMStats, Q: np.ndarray, q_factors: QFactor
     """
     if q_factors is None:
         q_factors = QFactors.of(Q)
+    A = real_array(A, "A")
     # A Delta^T is (Delta A^T)^T bit for bit, and `ndarray.dot` makes `@`'s BLAS products.
     cross = stats.Delta.dot(A.T)
     inner = stats.Psi - cross - cross.T + A.dot(stats.Phi).dot(A.T)

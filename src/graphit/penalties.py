@@ -127,6 +127,11 @@ def weight_matrix(p: Potential, A_prev: np.ndarray) -> np.ndarray:
 
 
 def emit_penalty_curve(p: Potential, grid) -> np.ndarray:
-    """Tabulate (u, rho(|u|)) over a grid of abscissas, one row per point."""
+    """Tabulate (u, rho(|u|)) over a grid of abscissas, one row per point; every value must be finite."""
     grid = real_array(grid, "grid")
-    return np.column_stack([grid, rho(p, grid)])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by gamma and range
+        values = rho(p, grid)
+    if not np.isfinite(values).all():
+        at = ", ".join(f"{name}={value}" for name, value in p.hyperparams.items())
+        raise ConfigError(f"the {p.family} curve at {at} is not finite on [{grid.min()}, {grid.max()}]")
+    return np.column_stack([grid, values])

@@ -77,9 +77,11 @@ def _clip(V: np.ndarray, t: np.ndarray, neg_t: np.ndarray, out: np.ndarray | Non
     return np.maximum(out, neg_t, out=out)
 
 
-def check_weights(Omega) -> np.ndarray:
-    """The l1 weights as a float array, which must be finite and >= 0: only then is the l1 prox a soft threshold."""
+def check_weights(Omega, shape: tuple) -> np.ndarray:
+    """The l1 weights as a float array of `shape`, finite and >= 0: only then is the l1 prox a soft threshold."""
     Omega = real_array(Omega, "Omega")
+    if Omega.shape != shape:
+        raise ConfigError(f"Omega must have the problem's shape {shape}, got {Omega.shape}")
     if Omega.size and not (Omega.min() >= 0 and Omega.max() < math.inf):
         raise ConfigError("Omega must be finite and >= 0")
     return Omega
@@ -88,7 +90,7 @@ def check_weights(Omega) -> np.ndarray:
 def prox_weighted_l1(V: np.ndarray, Omega: np.ndarray, step: float) -> np.ndarray:
     """Entrywise soft-thresholding at thresholds step * Omega."""
     V = real_array(V, "V")
-    Omega = check_weights(Omega)
+    Omega = check_weights(Omega, V.shape)
     check_positive(step, "step")
     t = step * Omega
     return V - _clip(V, t, -t)
@@ -145,12 +147,12 @@ def surrogate_value(
     A: np.ndarray, stats: EMStats, Q: np.ndarray, Omega: np.ndarray, q_factors: QFactors | None = None
 ) -> float:
     """Full inner objective q(A) + ||Omega . A||_1 (`q_factors` as in `q_quadratic`)."""
-    return q_quadratic(A, stats, Q, q_factors) + float(np.sum(Omega * np.abs(A)))
+    return q_quadratic(A, stats, Q, q_factors) + float(np.sum(real_array(Omega, "Omega") * np.abs(A)))
 
 
-def _setup(stats: EMStats, Omega: np.ndarray, cfg: DRConfig, q_factors: QFactors) -> tuple:
+def _setup(stats: EMStats, Omega: np.ndarray, shape: tuple, cfg: DRConfig, q_factors: QFactors) -> tuple:
     """Of one solve: Phi = W diag(m) W^T as (m, W), the prox scale (`DRConfig`), and the thresholds scale * Omega."""
-    Omega = check_weights(Omega)
+    Omega = check_weights(Omega, shape)
     m, W = np.linalg.eigh(stats.Phi)
     curvature = float(m.max()) / float(q_factors.lam.min())
     scale = cfg.step if curvature <= 0.0 else cfg.step / curvature
@@ -213,7 +215,7 @@ def douglas_rachford(
     if q_factors is None:
         q_factors = QFactors.of(Q)
     A_init = real_array(A_init, "A_init")
-    m, W, scale, t = _setup(stats, Omega, cfg, q_factors)
+    m, W, scale, t = _setup(stats, Omega, A_init.shape, cfg, q_factors)
     prox_q = _QuadraticProx(stats.Delta, q_factors.lam, q_factors.U, m, W, scale)
     neg_t = -t
     z = A_init.copy()
@@ -262,7 +264,7 @@ def douglas_rachford_lockstep(
     entry is the SolverReport of its problem, or the error in `FIT_ERRORS`
     that `douglas_rachford` raises there.
     """
-    reports = [attempt(_setup, stats, Omega, cfg, q_factors) for stats, Omega, _ in problems]
+    reports = [attempt(_setup, stats, Omega, A_init.shape, cfg, q_factors) for stats, Omega, A_init in problems]
     live = [j for j, setup in enumerate(reports) if not isinstance(setup, Exception)]
     if not live:
         return reports

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphit.cli as cli
-from graphit import ConfigError, NonFiniteError, Potential, Trajectory
+from graphit import ConfigError, NonFiniteError, Potential, SingularStatisticsError, Trajectory
 from graphit.cli import _run_realization, grid_search, main, run_benchmark
 from graphit.export import BenchmarkRow, _fmt5, export_csv, export_dot
 from graphit.scenario import Scenario, load_scenario
@@ -342,6 +342,22 @@ class TestRunBenchmark:
         assert rows[0].realizations == 0
         assert math.isnan(rows[0].rmse)
 
+    def test_failure_warning_says_which_realization_failed_and_why(self, monkeypatch):
+        mlem, calls = cli.mlem, []
+
+        def mlem_failing_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise SingularStatisticsError(4)
+            return mlem(*args)
+
+        monkeypatch.setattr(cli, "mlem", mlem_failing_second)
+        scenario = small_scenario(n_realizations=3, methods=("mlem",), potentials={})
+        message = "1 of 3 realizations failed for method mlem (realization 1: {})".format(SingularStatisticsError(4))
+        with pytest.warns(UserWarning, match=f"^{re.escape(message)}$"):
+            rows = run_benchmark(scenario)
+        assert rows[0].realizations == 2
+
 
     @pytest.mark.parametrize("inject", NON_FINITE_CASES)
     def test_non_finite_fit_counts_as_failed(self, monkeypatch, inject):
@@ -621,6 +637,21 @@ class TestMainCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("configuration error: --u-min and --u-max must be finite")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["l1", "1e300", "--u-max", "1e10"], "the l1 curve at gamma=1e+300 is not finite on [0.0, 10000000000.0]"),
+            (["log-sum", "1e300", "1e300"], "the log-sum curve at gamma=1e+300, lam=1e+300 is not finite on [0.0, 2.0]"),
+        ],
+        ids=["l1", "log-sum"],
+    )
+    def test_curve_rejects_an_overflowing_curve_by_gamma_and_range(self, capsys, args, message):
+        """A curve that overflows is a configuration error, not rows of inf or nan after a RuntimeWarning."""
+        assert main(["curve", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {message}\n"
 
     @pytest.mark.parametrize("text", ["", "\n\n"])
     def test_export_dot_rejects_a_matrix_file_with_no_data(self, tmp_path, capsys, text):

@@ -4,8 +4,8 @@
 caller may catch it as the package's error or as the builtin one. Each
 argument rule checks the type before the range, so a value of the wrong
 type is a ConfigError too, never a raw TypeError; every array argument is
-converted by one owner, `real_array`, whose ConfigError names it. The last test keeps
-ConfigError the only one: no module of the package raises a bare
+converted by one owner, `real_array`, whose ConfigError names it. The last
+test keeps ConfigError the only one: no module of the package raises a bare
 `ValueError`.
 """
 
@@ -38,11 +38,13 @@ from graphit import (
     penalty_value,
     prox_quadratic,
     prox_weighted_l1,
+    q_quadratic,
     rho,
     rho_prime,
     rmse,
     simulate,
     spectral_norm,
+    surrogate_value,
 )
 from graphit.algorithms import check_graphem
 from graphit.cli import grid_search, run_benchmark
@@ -100,9 +102,31 @@ CASES = {
     ),
     "check_graphem": (lambda: check_graphem(Potential("l1", gamma=1.0), LOG_SUM), "graphem uses the l1 potential only"),
     "prox_weighted_l1.Omega": (lambda: prox_weighted_l1(I2, -I2, 1.0), "Omega must be finite and >= 0"),
-    "check_weights.ragged": (lambda: check_weights([[1.0], [1.0, 1.0]]), "Omega must be an array of real numbers"),
-    "check_weights.dtype": (lambda: check_weights(np.ones((2, 2), complex)), "Omega must be an array of real numbers"),
+    "check_weights.ragged": (
+        lambda: check_weights([[1.0], [1.0, 1.0]], (2, 2)), "Omega must be an array of real numbers"
+    ),
+    "check_weights.dtype": (
+        lambda: check_weights(np.ones((2, 2), complex), (2, 2)), "Omega must be an array of real numbers"
+    ),
+    "prox_weighted_l1.Omega.shape": (
+        lambda: prox_weighted_l1(I2, np.ones((1, 3)), 1.0), "Omega must have the problem's shape (2, 2), got (1, 3)"
+    ),
+    "prox_weighted_l1.Omega.row": (
+        lambda: prox_weighted_l1(I2, np.ones((1, 2)), 1.0), "Omega must have the problem's shape (2, 2), got (1, 2)"
+    ),
+    "douglas_rachford.Omega.shape": (
+        lambda: douglas_rachford(STATS, I2, np.ones((1, 3)), I2),
+        "Omega must have the problem's shape (2, 2), got (1, 3)",
+    ),
+    "douglas_rachford.Omega.row": (
+        lambda: douglas_rachford(STATS, I2, np.ones((1, 2)), I2),
+        "Omega must have the problem's shape (2, 2), got (1, 2)",
+    ),
     "penalty_value.complex": (lambda: penalty_value(L1, np.array([1j])), "u must be an array of real numbers"),
+    "emit_penalty_curve.overflow": (
+        lambda: emit_penalty_curve(Potential("l1", gamma=1e300), [0.0, 1e10]),
+        "the l1 curve at gamma=1e+300 is not finite on [0.0, 10000000000.0]",
+    ),
     "prox_weighted_l1.step": (lambda: prox_weighted_l1(I2, I2, 0.0), "step must be finite and > 0"),
     "douglas_rachford.Omega": (lambda: douglas_rachford(STATS, I2, np.full((2, 2), np.nan), I2), "Omega must be finite"),
     "grid_search.jobs": (
@@ -144,7 +168,7 @@ OWNERS = {
     "check_positive": (lambda v: check_positive(v, "scale"), "scale must"),
     "check_support": (lambda v: check_support(v, 3, "S"), "S must"),
     "check_threshold": (lambda v: check_threshold(v, "threshold"), "threshold must"),
-    "check_weights": (check_weights, "Omega must"),
+    "check_weights": (lambda v: check_weights(v, (2, 2)), "Omega must"),
     "edge_confusion.threshold": (lambda v: edge_confusion(I2, I2, v), "threshold must"),
     "EstimatorConfig.epsilon": (lambda v: EstimatorConfig(epsilon=v), "epsilon must"),
     "EstimatorConfig.max_outer": (lambda v: EstimatorConfig(max_outer=v), "max_outer must"),
@@ -229,6 +253,8 @@ ARRAY_OWNERS = {
     "prox_weighted_l1.Omega": (lambda v: prox_weighted_l1(I2, v, 1.0), "Omega"),
     "prox_quadratic.V": (lambda v: prox_quadratic(v, STATS, I2, 1.0), "V"),
     "prox_quadratic.Q": (lambda v: prox_quadratic(I2, STATS, v, 1.0), "Q"),
+    "q_quadratic.A": (lambda v: q_quadratic(v, STATS, I2), "A"),
+    "surrogate_value.Omega": (lambda v: surrogate_value(I2, STATS, I2, v), "Omega"),
 }
 
 
@@ -243,7 +269,6 @@ def test_an_array_of_the_wrong_type_is_a_config_error_that_names_it(owner, value
     call, name = ARRAY_OWNERS[owner]
     with pytest.raises(ConfigError, match=f"^{name} must be an array of real numbers, got "):
         call(value)
-
 
 
 def test_empty_weights_are_accepted():

@@ -27,3 +27,18 @@ def test_a_typo_fails_collection(tmp_path, key, test, message):
     )
     assert run.returncode != 0
     assert message in run.stdout + run.stderr
+
+
+def test_a_leaked_warning_fails_the_test(tmp_path):
+    """Every warning is an error, so a warning that a call lets escape fails its test."""
+    (tmp_path / "pyproject.toml").write_text(PYPROJECT)
+    (tmp_path / "test_a.py").write_text(
+        "import warnings\n\n"
+        "def test_user():\n    warnings.warn('leaked', UserWarning)\n\n"
+        "def test_deprecation():\n    warnings.warn('leaked', DeprecationWarning)\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_a.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert "2 failed" in run.stdout

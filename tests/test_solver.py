@@ -69,14 +69,14 @@ class TestProxWeightedL1:
 
 class TestCheckWeights:
     def test_returns_a_float_array_for_a_list(self):
-        Omega = check_weights([[0, 1], [2.5, 3]])
+        Omega = check_weights([[0, 1], [2.5, 3]], (2, 2))
         assert Omega.dtype == np.float64
         np.testing.assert_array_equal(Omega, [[0.0, 1.0], [2.5, 3.0]])
 
     def test_returns_a_float_array_itself(self):
         """A float ndarray is returned as is, so the solver's thresholds keep their bits."""
         Omega = np.full((3, 3), 0.5)
-        assert check_weights(Omega) is Omega
+        assert check_weights(Omega, (3, 3)) is Omega
 
 
 class TestProxQuadratic:
@@ -211,7 +211,7 @@ class TestDouglasRachford:
         stats, Q, Omega = random_instance(rng)
         A_star = forward_backward(stats, Q, Omega, np.zeros((3, 3)))
         cfg = DRConfig(tol=1e-6, max_iter=3)
-        scale = _setup(stats, Omega, cfg, QFactors.of(Q))[2]
+        scale = _setup(stats, Omega, Omega.shape, cfg, QFactors.of(Q))[2]
         grad = np.linalg.inv(Q) @ (A_star @ stats.Phi - stats.Delta)
         z_star = A_star - scale * grad
         report = douglas_rachford(stats, Q, Omega, z_star, cfg)
