@@ -30,9 +30,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .exceptions import ConfigError, DimensionMismatchError, NonFiniteError, NotPositiveDefiniteError
+from .exceptions import ConfigError, NonFiniteError, NotPositiveDefiniteError
 from .kalman import SmootherRun
-from .model import real_array
+from .model import check_shape, check_square, real_array
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,12 @@ class EMStats:
     Phi: np.ndarray    # (N_x, N_x), symmetric PSD
     Delta: np.ndarray  # (N_x, N_x)
 
-    def __post_init__(self):  # each field as a float array
+    def __post_init__(self):  # each field as a float array, all three of Psi's square shape
         for f in fields(self):
             object.__setattr__(self, f.name, real_array(getattr(self, f.name), f.name))
+        shape = check_square(self.Psi, "Psi").shape
+        check_shape(self.Phi, shape, "Phi")
+        check_shape(self.Delta, shape, "Delta")
 
 
 def compute_stats(smoother: SmootherRun) -> EMStats:
@@ -80,11 +83,9 @@ class QFactors:
 
     @classmethod
     def of(cls, Q: np.ndarray) -> QFactors:
-        Q = real_array(Q, "Q")
+        Q = check_square(real_array(Q, "Q"), "Q")
         if not np.isfinite(Q).all():
             raise NonFiniteError("Q is not finite, which the M-step needs")
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-            raise DimensionMismatchError(f"Q must be square, got shape {Q.shape}")
         cholesky, info = dpotrf(Q, lower=1)
         if info:
             raise NotPositiveDefiniteError("Q is not positive definite, which the M-step needs")
@@ -101,7 +102,8 @@ def q_quadratic(A: np.ndarray, stats: EMStats, Q: np.ndarray, q_factors: QFactor
     """
     if q_factors is None:
         q_factors = QFactors.of(Q)
-    A = real_array(A, "A")
+    check_shape(q_factors.U, stats.Psi.shape, "Q")
+    A = check_shape(real_array(A, "A"), stats.Psi.shape, "A")
     # A Delta^T is (Delta A^T)^T bit for bit, and `ndarray.dot` makes `@`'s BLAS products.
     cross = stats.Delta.dot(A.T)
     inner = stats.Psi - cross - cross.T + A.dot(stats.Phi).dot(A.T)

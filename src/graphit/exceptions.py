@@ -13,12 +13,12 @@ class ConfigError(GraphitError, ValueError):
     """An invalid argument, scenario or command line."""
 
 
-class DimensionMismatchError(GraphitError, ValueError):
-    """Two model quantities have incompatible shapes."""
+class DimensionMismatchError(ConfigError):
+    """A matrix argument has the wrong shape, or two have incompatible shapes."""
 
 
-class NotPositiveDefiniteError(GraphitError, ValueError):
-    """A covariance matrix is not symmetric positive (semi)definite."""
+class NotPositiveDefiniteError(ConfigError):
+    """A covariance argument is not symmetric positive (semi)definite."""
 
 
 class NonFiniteError(GraphitError, ValueError):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .exceptions import ConfigError
 from .metrics import check_threshold
-from .model import real_array
+from .model import check_square, real_array
 from .penalties import Potential
 
 
@@ -86,7 +86,7 @@ def export_csv(rows: list[BenchmarkRow], include_times: bool = True) -> str:
 
 
 def export_dot(A: np.ndarray, threshold: float = 1e-10) -> str:
-    """DOT digraph of the supra-threshold support of a square matrix.
+    """DOT digraph of the supra-threshold support of a non-empty square matrix.
 
     Entry (i, j) above threshold in magnitude becomes the edge j -> i
     (column index drives row index), labeled with the entry value. Nodes
@@ -94,9 +94,7 @@ def export_dot(A: np.ndarray, threshold: float = 1e-10) -> str:
     and so must every entry be finite: a NaN has no edge to draw or omit.
     """
     check_threshold(threshold, "threshold")
-    A = real_array(A, "A")
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ConfigError(f"expected a square matrix, got shape {A.shape}")
+    A = check_square(real_array(A, "A"), "A")
     if not np.isfinite(A).all():
         raise ConfigError("the matrix has NaN or infinite entries")
     n = A.shape[0]

@@ -225,7 +225,7 @@ class _FilterPass:
 
 def _observations(params: ModelParams, observations) -> np.ndarray:
     """The observations as a finite (K, N_y) array, once the model has been validated."""
-    validate(params, semidefinite_ok=True)
+    validate(params)
     ys = real_array(observations, "observations")
     if ys.ndim == 1:
         ys = ys[:, None]

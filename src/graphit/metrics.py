@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ConfigError
-from .model import is_real, real_array
+from .model import check_shape, is_real, real_array
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,8 @@ def check_threshold(value, name: str) -> None:
 
 def _pair(A_hat, A_true) -> tuple[np.ndarray, np.ndarray]:
     """An estimate and its truth as float arrays of one shape."""
-    A_hat, A_true = real_array(A_hat, "A_hat"), real_array(A_true, "A_true")
-    if A_hat.shape != A_true.shape:
-        raise ConfigError(f"shape mismatch: {A_hat.shape} vs {A_true.shape}")
-    return A_hat, A_true
+    A_true = real_array(A_true, "A_true")
+    return check_shape(real_array(A_hat, "A_hat"), A_true.shape, "A_hat"), A_true
 
 
 def rmse(A_hat: np.ndarray, A_true: np.ndarray) -> float:

@@ -34,13 +34,13 @@ class ModelParams:
     H : ndarray (N_y, N_x)
         Observation matrix.
     Q : ndarray (N_x, N_x)
-        State-noise covariance, symmetric positive definite.
+        State-noise covariance, symmetric positive semidefinite (see `validate`).
     R : ndarray (N_y, N_y)
-        Observation-noise covariance, symmetric positive definite.
+        Observation-noise covariance, symmetric positive semidefinite.
     mu0 : ndarray (N_x,)
         Initial state mean.
     Sigma0 : ndarray (N_x, N_x)
-        Initial state covariance, symmetric positive definite.
+        Initial state covariance, symmetric positive semidefinite.
     """
 
     A: np.ndarray
@@ -128,46 +128,50 @@ def _check_finite(M: np.ndarray, name: str) -> None:
         raise NonFiniteError(f"{name} contains NaN or infinite values")
 
 
+def check_square(M: np.ndarray, name: str) -> np.ndarray:
+    """M, once it is a non-empty square matrix; the error names it."""
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not M.size:
+        raise DimensionMismatchError(f"{name} must be a non-empty square matrix, got shape {M.shape}")
+    return M
+
+
+def check_shape(M: np.ndarray, shape: tuple, name: str) -> np.ndarray:
+    """M, once it has exactly `shape`; the error names it."""
+    if M.shape != shape:
+        raise DimensionMismatchError(f"{name} must have shape {shape}, got {M.shape}")
+    return M
+
+
 def check_transition(A: np.ndarray) -> None:
     """`validate`'s first checks, and the only ones that see A's values: A is square and finite."""
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionMismatchError(f"A must be square, got shape {A.shape}")
+    check_square(A, "A")
     _check_finite(A, "A")
 
 
-def _check_symmetric_pd(M: np.ndarray, name: str, *, semidefinite_ok: bool) -> None:
-    if not M.shape or M.shape[0] != M.shape[1]:
-        raise DimensionMismatchError(f"{name} must be square, got shape {M.shape}")
+def _check_covariance(M: np.ndarray, name: str) -> None:
+    """Require M, of a checked shape, to be symmetric positive semidefinite; the error names it."""
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the next test reports
-        asym = np.max(np.abs(M - M.T)) if M.size else 0.0
+        asym = np.max(np.abs(M - M.T))
     if not np.isfinite(asym):
         raise NonFiniteError(f"{name} contains NaN or infinite values")
     if asym > SYMMETRY_TOL:
         raise NotPositiveDefiniteError(f"{name} is not symmetric (max asymmetry {asym:.3e})")
-    if semidefinite_ok:
-        eigs = np.linalg.eigvalsh(M)
-        floor = -SYMMETRY_TOL * max(1.0, float(np.max(np.abs(eigs))))
-        if eigs.min() < floor:
-            raise NotPositiveDefiniteError(
-                f"{name} is not positive semidefinite (min eigenvalue {eigs.min():.3e})"
-            )
-        return
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(f"{name} is not positive definite (Cholesky failed)") from None
+    eigs = np.linalg.eigvalsh(M)
+    floor = -SYMMETRY_TOL * max(1.0, float(np.max(np.abs(eigs))))
+    if eigs.min() < floor:
+        raise NotPositiveDefiniteError(f"{name} is not positive semidefinite (min eigenvalue {eigs.min():.3e})")
 
 
-def validate(params: ModelParams, *, semidefinite_ok: bool = False) -> ModelParams:
-    """Check dimensional consistency and covariance definiteness.
+def validate(params: ModelParams) -> ModelParams:
+    """Check the Kalman filter's contract: shapes, finite fields, and semidefinite covariances.
+
+    A is a non-empty square matrix, H has A's columns and at least one row, and
+    Q, R and Sigma0 are symmetric positive semidefinite, so a zero covariance
+    passes; `simulate` factors each covariance it samples from, which needs more.
 
     Parameters
     ----------
     params : ModelParams
-    semidefinite_ok : bool
-        When True, Q, R and Sigma0 only need to be positive semidefinite.
-        This supports exact zero-noise limiting cases; sampling from such a
-        model must go through ``simulate(..., noiseless=True)``.
 
     Returns
     -------
@@ -177,34 +181,36 @@ def validate(params: ModelParams, *, semidefinite_ok: bool = False) -> ModelPara
     Raises
     ------
     DimensionMismatchError
-        If any two fields have inconsistent shapes; the message names the pair.
+        If a field has the wrong shape; the message names it.
     NonFiniteError
         If any field holds a NaN or an infinity; the message names it.
     NotPositiveDefiniteError
-        If Q, R or Sigma0 fails symmetry or definiteness; the message names it.
+        If Q, R or Sigma0 is not symmetric positive semidefinite; the message names it.
     """
     A, H, Q, R, mu0, Sigma0 = params.A, params.H, params.Q, params.R, params.mu0, params.Sigma0
     check_transition(A)
     nx = A.shape[0]
-    if H.ndim != 2 or H.shape[1] != nx:
-        raise DimensionMismatchError(f"H has shape {H.shape}, incompatible with A of shape {A.shape}")
+    if H.ndim != 2 or H.shape[1] != nx or H.shape[0] < 1:
+        raise DimensionMismatchError(f"H must have shape (N_y, {nx}) with N_y >= 1, got {H.shape}")
     ny = H.shape[0]
-    if Q.shape != (nx, nx):
-        raise DimensionMismatchError(f"Q has shape {Q.shape}, incompatible with A of shape {A.shape}")
-    if R.shape != (ny, ny):
-        raise DimensionMismatchError(f"R has shape {R.shape}, incompatible with H of shape {H.shape}")
-    if mu0.shape != (nx,):
-        raise DimensionMismatchError(f"mu0 has shape {mu0.shape}, incompatible with A of shape {A.shape}")
-    if Sigma0.shape != (nx, nx):
-        raise DimensionMismatchError(
-            f"Sigma0 has shape {Sigma0.shape}, incompatible with A of shape {A.shape}"
-        )
+    check_shape(Q, (nx, nx), "Q")
+    check_shape(R, (ny, ny), "R")
+    check_shape(mu0, (nx,), "mu0")
+    check_shape(Sigma0, (nx, nx), "Sigma0")
     _check_finite(H, "H")
     _check_finite(mu0, "mu0")
-    _check_symmetric_pd(Q, "Q", semidefinite_ok=semidefinite_ok)
-    _check_symmetric_pd(R, "R", semidefinite_ok=semidefinite_ok)
-    _check_symmetric_pd(Sigma0, "Sigma0", semidefinite_ok=semidefinite_ok)
+    _check_covariance(Q, "Q")
+    _check_covariance(R, "R")
+    _check_covariance(Sigma0, "Sigma0")
     return params
+
+
+def _cholesky(M: np.ndarray, name: str) -> np.ndarray:
+    """The lower Cholesky factor of a covariance that `validate` passed; a NotPositiveDefiniteError names it."""
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError(f"{name} is not positive definite (Cholesky failed)") from None
 
 
 def _each(L: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -222,28 +228,29 @@ def simulate(params: ModelParams, K: int, seed, *, noiseless: bool = False) -> T
     observations are each one stacked product; only the state recursion is a
     loop. Peak extra memory is O(K (N_x + N_y)), the order of the trajectory.
 
-    With ``noiseless=True`` sampling is skipped entirely: x_0 = mu0 and the
-    recursion runs without noise, which permits exactly zero covariances; the
-    seed is still checked.
+    Q, R and Sigma0 are factored once each, in turn, so must be definite. With
+    ``noiseless=True`` sampling is skipped entirely: x_0 = mu0 and the recursion
+    runs without noise, which permits exactly zero covariances; the seed is still checked.
     """
     check_count(K, "K")
     rng = _rng(seed)
-    validate(params, semidefinite_ok=noiseless)
+    validate(params)
     nx, A = params.nx, params.A
     states = np.empty((K + 1, nx))
     if noiseless:
         states[0] = params.mu0
     else:
+        LQ, LR, L0 = (_cholesky(getattr(params, name), name) for name in ("Q", "R", "Sigma0"))
         z = rng.standard_normal(nx + K * (nx + params.ny))
         steps = z[nx:].reshape(K, -1)
-        states[0] = params.mu0 + np.linalg.cholesky(params.Sigma0) @ z[:nx]
-        drives = _each(np.linalg.cholesky(params.Q), steps[:, :nx])
+        states[0] = params.mu0 + L0 @ z[:nx]
+        drives = _each(LQ, steps[:, :nx])
     x = states[0]
     for k in range(K):
         x = states[k + 1] = A @ x if noiseless else A @ x + drives[k]
     obs = _each(params.H, states[1:])
     if not noiseless:
-        obs += _each(np.linalg.cholesky(params.R), steps[:, nx:])
+        obs += _each(LR, steps[:, nx:])
     return Trajectory(states=states, observations=obs)
 
 

@@ -118,12 +118,12 @@ def rho_prime(p: Potential, u) -> np.ndarray | float:
 
 def penalty_value(p: Potential, A: np.ndarray) -> float:
     """Total penalty of a matrix: sum of rho(|entry|) over all entries."""
-    return float(np.sum(rho(p, A)))
+    return float(np.sum(rho(p, real_array(A, "A"))))
 
 
 def weight_matrix(p: Potential, A_prev: np.ndarray) -> np.ndarray:
     """Reweighting matrix: entrywise rho'(|A_prev|), in [0, gamma] pointwise."""
-    return np.asarray(rho_prime(p, A_prev))
+    return np.asarray(rho_prime(p, real_array(A_prev, "A_prev")))
 
 
 def emit_penalty_curve(p: Potential, grid) -> np.ndarray:

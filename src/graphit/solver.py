@@ -33,7 +33,7 @@ import numpy as np
 
 from .em_stats import EMStats, QFactors, q_quadratic
 from .exceptions import ConfigError, attempt
-from .model import check_count, check_positive, is_real, real_array
+from .model import check_count, check_positive, check_shape, is_real, real_array
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,7 @@ def _clip(V: np.ndarray, t: np.ndarray, neg_t: np.ndarray, out: np.ndarray | Non
 
 def check_weights(Omega, shape: tuple) -> np.ndarray:
     """The l1 weights as a float array of `shape`, finite and >= 0: only then is the l1 prox a soft threshold."""
-    Omega = real_array(Omega, "Omega")
-    if Omega.shape != shape:
-        raise ConfigError(f"Omega must have the problem's shape {shape}, got {Omega.shape}")
+    Omega = check_shape(real_array(Omega, "Omega"), shape, "Omega")
     if Omega.size and not (Omega.min() >= 0 and Omega.max() < math.inf):
         raise ConfigError("Omega must be finite and >= 0")
     return Omega
@@ -139,20 +137,25 @@ class _QuadraticProx:
 def prox_quadratic(V: np.ndarray, stats: EMStats, Q: np.ndarray, step: float) -> np.ndarray:
     """Proximal map of the quadratic term: argmin_A q(A) + ||A - V||_F^2 / (2 step)."""
     q_factors = QFactors.of(Q)
+    check_shape(q_factors.U, stats.Psi.shape, "Q")
+    V = check_shape(real_array(V, "V"), stats.Psi.shape, "V")
     m, W = np.linalg.eigh(stats.Phi)
-    return _QuadraticProx(stats.Delta, q_factors.lam, q_factors.U, m, W, step)(real_array(V, "V"))
+    return _QuadraticProx(stats.Delta, q_factors.lam, q_factors.U, m, W, step)(V)
 
 
 def surrogate_value(
     A: np.ndarray, stats: EMStats, Q: np.ndarray, Omega: np.ndarray, q_factors: QFactors | None = None
 ) -> float:
     """Full inner objective q(A) + ||Omega . A||_1 (`q_factors` as in `q_quadratic`)."""
-    return q_quadratic(A, stats, Q, q_factors) + float(np.sum(real_array(Omega, "Omega") * np.abs(A)))
+    Omega = check_shape(real_array(Omega, "Omega"), stats.Psi.shape, "Omega")
+    return q_quadratic(A, stats, Q, q_factors) + float(np.sum(Omega * np.abs(A)))
 
 
-def _setup(stats: EMStats, Omega: np.ndarray, shape: tuple, cfg: DRConfig, q_factors: QFactors) -> tuple:
-    """Of one solve: Phi = W diag(m) W^T as (m, W), the prox scale (`DRConfig`), and the thresholds scale * Omega."""
-    Omega = check_weights(Omega, shape)
+def _setup(stats: EMStats, Omega: np.ndarray, A_init: np.ndarray, cfg: DRConfig, q_factors: QFactors) -> tuple:
+    """Of a solve whose Q, A_init and Omega have Psi's shape: Phi's (m, W), the prox scale (`DRConfig`), thresholds."""
+    check_shape(q_factors.U, stats.Psi.shape, "Q")
+    check_shape(A_init, stats.Psi.shape, "A_init")
+    Omega = check_weights(Omega, stats.Psi.shape)
     m, W = np.linalg.eigh(stats.Phi)
     curvature = float(m.max()) / float(q_factors.lam.min())
     scale = cfg.step if curvature <= 0.0 else cfg.step / curvature
@@ -215,7 +218,7 @@ def douglas_rachford(
     if q_factors is None:
         q_factors = QFactors.of(Q)
     A_init = real_array(A_init, "A_init")
-    m, W, scale, t = _setup(stats, Omega, A_init.shape, cfg, q_factors)
+    m, W, scale, t = _setup(stats, Omega, A_init, cfg, q_factors)
     prox_q = _QuadraticProx(stats.Delta, q_factors.lam, q_factors.U, m, W, scale)
     neg_t = -t
     z = A_init.copy()
@@ -264,7 +267,7 @@ def douglas_rachford_lockstep(
     entry is the SolverReport of its problem, or the error in `FIT_ERRORS`
     that `douglas_rachford` raises there.
     """
-    reports = [attempt(_setup, stats, Omega, A_init.shape, cfg, q_factors) for stats, Omega, A_init in problems]
+    reports = [attempt(_setup, stats, Omega, A_init, cfg, q_factors) for stats, Omega, A_init in problems]
     live = [j for j, setup in enumerate(reports) if not isinstance(setup, Exception)]
     if not live:
         return reports

@@ -207,7 +207,7 @@ def reference_smoother(params: ModelParams, run: FilterRun) -> SmootherRun:
 
 def reference_simulate(params: ModelParams, K: int, seed, *, noiseless: bool = False) -> Trajectory:
     """`simulate` one step at a time: x_0, then q_k and r_k drawn per step."""
-    validate(params, semidefinite_ok=noiseless)
+    validate(params)
     nx, ny = params.nx, params.ny
     states = np.empty((K + 1, nx))
     obs = np.empty((K, ny))

@@ -6,7 +6,10 @@ argument rule checks the type before the range, so a value of the wrong
 type is a ConfigError too, never a raw TypeError; every array argument is
 converted by one owner, `real_array`, whose ConfigError names it. The last
 test keeps ConfigError the only one: no module of the package raises a bare
-`ValueError`.
+`ValueError`. A matrix of the wrong shape or a covariance that is not
+semidefinite is a ConfigError too, raised by the shape owners
+`model.check_square` and `check_shape` (and the two rules that relate
+sizes, `validate`'s of H and the observations'), whose message names it.
 """
 
 import ast
@@ -19,10 +22,12 @@ from hypothesis import strategies as st
 
 from graphit import (
     ConfigError,
+    DimensionMismatchError,
     DRConfig,
     EstimatorConfig,
     GraphitError,
     ModelParams,
+    NotPositiveDefiniteError,
     Potential,
     SmootherRun,
     compute_stats,
@@ -45,25 +50,38 @@ from graphit import (
     simulate,
     spectral_norm,
     surrogate_value,
+    weight_matrix,
 )
 from graphit.algorithms import check_graphem
 from graphit.cli import grid_search, run_benchmark
-from graphit.em_stats import EMStats
+from graphit.em_stats import EMStats, QFactors
 from graphit.metrics import check_threshold
 from graphit.model import check_count, check_positive, check_support
 from graphit.scenario import Scenario
-from graphit.solver import check_weights
+from graphit.solver import check_weights, douglas_rachford_lockstep
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "graphit"
 
 I2 = np.eye(2)
+I3 = np.eye(3)
+EMPTY = np.zeros((0, 0))
 PARAMS = ModelParams(A=0.5 * I2, H=I2, Q=0.1 * I2, R=0.1 * I2, mu0=np.zeros(2), Sigma0=0.1 * I2)
 STATS = EMStats(Psi=I2, Phi=I2, Delta=I2)
 OBSERVATIONS = np.zeros((5, 2))
 LOG_SUM = Potential("log-sum", gamma=1.0, lam=0.1)
 L1 = Potential("l1", gamma=1.0)
+# The zero-size models: N_x = 0 (every field empty), and N_x = 1 with N_y = 0.
+NO_STATE = ModelParams(A=EMPTY, H=EMPTY, Q=EMPTY, R=EMPTY, mu0=np.zeros(0), Sigma0=EMPTY)
+NO_OUTPUT = ModelParams(A=np.eye(1), H=np.zeros((0, 1)), Q=np.eye(1), R=EMPTY, mu0=np.zeros(1), Sigma0=np.eye(1))
 SCENARIO = dict(scenario_id="errors", n_x=2, n_y=2, s=1, k=5, methods=("graphem",),
                 potentials={"graphem": Potential("l1", gamma=1.0)})
+
+
+def _lockstep_entry(*problem):
+    """Raise the error that `douglas_rachford_lockstep` returns as the entry of its one `problem`."""
+    (outcome,) = douglas_rachford_lockstep([problem], I2, DRConfig(), QFactors.of(I2))
+    raise outcome
+
 
 # (call, a fragment of the message that names the argument), one per public argument check.
 CASES = {
@@ -83,11 +101,12 @@ CASES = {
     "generate_sparse_A.target_norm": (lambda: generate_sparse_A(3, 2, np.inf), "target_norm must be finite and > 0"),
     "spectral_norm.M": (lambda: spectral_norm([[np.nan]]), "spectral_norm requires finite entries"),
     "edge_confusion.threshold": (lambda: edge_confusion(I2, I2, -1.0), "threshold must be >= 0 and finite"),
-    "edge_confusion.shape": (lambda: edge_confusion(I2, np.eye(3)), "shape mismatch"),
-    "rmse.shape": (lambda: rmse(I2, np.eye(3)), "shape mismatch"),
+    "edge_confusion.shape": (lambda: edge_confusion(I2, I3), "A_hat must have shape (3, 3), got (2, 2)"),
+    "rmse.shape": (lambda: rmse(I2, I3), "A_hat must have shape (3, 3), got (2, 2)"),
     "rmse.A_true": (lambda: rmse(I2, np.zeros((2, 2))), "reference matrix is zero"),
     "export_dot.threshold": (lambda: export_dot(I2, np.nan), "threshold must be >= 0 and finite"),
-    "export_dot.square": (lambda: export_dot(np.ones((2, 3))), "expected a square matrix"),
+    "export_dot.square": (lambda: export_dot(np.ones((2, 3))), "A must be a non-empty square matrix, got shape (2, 3)"),
+    "export_dot.empty": (lambda: export_dot(EMPTY), "A must be a non-empty square matrix, got shape (0, 0)"),
     "export_dot.finite": (lambda: export_dot(np.full((2, 2), np.inf)), "the matrix has NaN or infinite entries"),
     "graphit.potential": (
         lambda: graphit(OBSERVATIONS, PARAMS, I2, EstimatorConfig()), "graphit requires a potential"
@@ -109,26 +128,52 @@ CASES = {
         lambda: check_weights(np.ones((2, 2), complex), (2, 2)), "Omega must be an array of real numbers"
     ),
     "prox_weighted_l1.Omega.shape": (
-        lambda: prox_weighted_l1(I2, np.ones((1, 3)), 1.0), "Omega must have the problem's shape (2, 2), got (1, 3)"
+        lambda: prox_weighted_l1(I2, np.ones((1, 3)), 1.0), "Omega must have shape (2, 2), got (1, 3)"
     ),
     "prox_weighted_l1.Omega.row": (
-        lambda: prox_weighted_l1(I2, np.ones((1, 2)), 1.0), "Omega must have the problem's shape (2, 2), got (1, 2)"
+        lambda: prox_weighted_l1(I2, np.ones((1, 2)), 1.0), "Omega must have shape (2, 2), got (1, 2)"
     ),
     "douglas_rachford.Omega.shape": (
         lambda: douglas_rachford(STATS, I2, np.ones((1, 3)), I2),
-        "Omega must have the problem's shape (2, 2), got (1, 3)",
+        "Omega must have shape (2, 2), got (1, 3)",
     ),
     "douglas_rachford.Omega.row": (
         lambda: douglas_rachford(STATS, I2, np.ones((1, 2)), I2),
-        "Omega must have the problem's shape (2, 2), got (1, 2)",
+        "Omega must have shape (2, 2), got (1, 2)",
     ),
-    "penalty_value.complex": (lambda: penalty_value(L1, np.array([1j])), "u must be an array of real numbers"),
+    "penalty_value.complex": (lambda: penalty_value(L1, np.array([1j])), "A must be an array of real numbers"),
     "emit_penalty_curve.overflow": (
         lambda: emit_penalty_curve(Potential("l1", gamma=1e300), [0.0, 1e10]),
         "the l1 curve at gamma=1e+300 is not finite on [0.0, 10000000000.0]",
     ),
     "prox_weighted_l1.step": (lambda: prox_weighted_l1(I2, I2, 0.0), "step must be finite and > 0"),
     "douglas_rachford.Omega": (lambda: douglas_rachford(STATS, I2, np.full((2, 2), np.nan), I2), "Omega must be finite"),
+    "EMStats.Psi": (lambda: EMStats(np.ones((2, 3)), I2, I2), "Psi must be a non-empty square matrix, got shape (2, 3)"),
+    "EMStats.Phi": (lambda: EMStats(I3, I2, I2), "Phi must have shape (3, 3), got (2, 2)"),
+    "EMStats.Delta": (lambda: EMStats(I2, I2, I3), "Delta must have shape (2, 2), got (3, 3)"),
+    "QFactors.of.empty": (lambda: QFactors.of(EMPTY), "Q must be a non-empty square matrix, got shape (0, 0)"),
+    "douglas_rachford.A_init.shape": (
+        lambda: douglas_rachford(STATS, I2, np.ones((3, 3)), I3), "A_init must have shape (2, 2), got (3, 3)"
+    ),
+    "douglas_rachford.Q.shape": (
+        lambda: douglas_rachford(EMStats(I3, I3, I3), I2, np.ones((2, 2)), I2), "Q must have shape (3, 3), got (2, 2)"
+    ),
+    "douglas_rachford_lockstep.A_init.shape": (
+        lambda: _lockstep_entry(STATS, np.ones((3, 3)), I3), "A_init must have shape (2, 2), got (3, 3)"
+    ),
+    "prox_quadratic.V.shape": (lambda: prox_quadratic(I3, STATS, I2, 1.0), "V must have shape (2, 2), got (3, 3)"),
+    "prox_quadratic.Q.shape": (lambda: prox_quadratic(I2, STATS, I3, 1.0), "Q must have shape (2, 2), got (3, 3)"),
+    "q_quadratic.A.shape": (lambda: q_quadratic(I3, STATS, I2), "A must have shape (2, 2), got (3, 3)"),
+    "q_quadratic.Q.shape": (lambda: q_quadratic(I2, STATS, I3), "Q must have shape (2, 2), got (3, 3)"),
+    "surrogate_value.Omega.shape": (
+        lambda: surrogate_value(I2, STATS, I2, np.ones((3, 3))), "Omega must have shape (2, 2), got (3, 3)"
+    ),
+    "kalman_filter.no_state": (
+        lambda: kalman_filter(NO_STATE, np.zeros((5, 0))), "A must be a non-empty square matrix, got shape (0, 0)"
+    ),
+    "kalman_filter.no_output": (
+        lambda: kalman_filter(NO_OUTPUT, np.zeros((5, 0))), "H must have shape (N_y, 1) with N_y >= 1, got (0, 1)"
+    ),
     "grid_search.jobs": (
         lambda: grid_search(Scenario(**SCENARIO), "graphem", [Potential("l1", gamma=1.0)], jobs=0), "jobs must be >= 1"
     ),
@@ -146,6 +191,12 @@ def test_bad_argument_is_a_config_error(call, fragment):
     assert isinstance(caught.value, GraphitError)
     assert isinstance(caught.value, ValueError)
     assert fragment in str(caught.value)
+
+
+@pytest.mark.parametrize("error", [DimensionMismatchError, NotPositiveDefiniteError])
+def test_a_bad_shape_or_covariance_is_a_config_error(error):
+    """Every raise of either reports a caller's argument, so the CLI maps it to exit code 1 like any other."""
+    assert issubclass(error, ConfigError)
 
 
 # A value of each type that no argument takes: None, text, bytes, bool,
@@ -243,6 +294,8 @@ ARRAY_OWNERS = {
     "edge_confusion.A_hat": (lambda v: edge_confusion(v, I2), "A_hat"),
     "export_dot.A": (export_dot, "A"),
     "spectral_norm.M": (spectral_norm, "M"),
+    "penalty_value.A": (lambda v: penalty_value(L1, v), "A"),
+    "weight_matrix.A_prev": (lambda v: weight_matrix(LOG_SUM, v), "A_prev"),
     "rho.u": (lambda v: rho(L1, v), "u"),
     "rho_prime.u": (lambda v: rho_prime(LOG_SUM, v), "u"),
     "emit_penalty_curve.grid": (lambda v: emit_penalty_curve(L1, v), "grid"),
@@ -292,3 +345,27 @@ def test_no_module_raises_a_bare_value_error():
     assert modules
     found = {path.name: lines for path in modules if (lines := _bare_value_errors(path))}
     assert found == {}
+
+
+def _raisers(path: Path, name: str) -> set:
+    """(module, function) of each function in `path` whose body raises the exception class `name`."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.FunctionDef):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Raise) and sub.exc is not None:
+                    exc = sub.exc.func if isinstance(sub.exc, ast.Call) else sub.exc
+                    if isinstance(exc, ast.Name) and exc.id == name:
+                        found.add((path.name, node.name))
+    return found
+
+
+def test_only_the_shape_owners_raise_a_dimension_mismatch():
+    """Each shape rule has one owner: the two of `model`, and the rules that relate sizes (H's, the observations')."""
+    found = set().union(*(_raisers(path, "DimensionMismatchError") for path in SRC.glob("*.py")))
+    assert found == {
+        ("model.py", "check_square"),
+        ("model.py", "check_shape"),
+        ("model.py", "validate"),
+        ("kalman.py", "_observations"),
+    }

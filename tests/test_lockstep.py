@@ -220,7 +220,7 @@ REPORT_FIELDS = ("minimizer", "iterations", "final_residual", "converged", "fell
     "Q, error, message",
     [
         (np.array([[0.1, 0.0], [0.0, np.nan]]), NonFiniteError, "Q contains NaN or infinite values"),
-        (np.ones((2, 3)), DimensionMismatchError, "Q has shape (2, 3), incompatible with A of shape (2, 2)"),
+        (np.ones((2, 3)), DimensionMismatchError, "Q must have shape (2, 2), got (2, 3)"),
     ],
     ids=["nan", "not-square"],
 )

@@ -30,16 +30,24 @@ def _identity_params(nx=2, ny=2):
     )
 
 
+def _singular(params):
+    """`params` with the last variance of Q, R and Sigma0 zeroed: semidefinite and singular, as `validate` allows."""
+    mask = np.diag([1.0, 0.0])
+    return ModelParams(**{**params.__dict__, **{name: getattr(params, name) * mask for name in ("Q", "R", "Sigma0")}})
+
+
 class TestValidate:
     def test_identity_covariances_accepted(self):
         params = _identity_params()
         assert validate(params) is params
 
     def test_negative_eigenvalue_rejected(self):
+        """An indefinite covariance is not semidefinite, whether validated alone or before sampling."""
         params = _identity_params()
         bad = ModelParams(**{**params.__dict__, "Q": np.diag([1.0, -1.0])})
-        with pytest.raises(NotPositiveDefiniteError, match="Q"):
-            validate(bad)
+        for call in (validate, lambda p: simulate(p, K=5, seed=0)):
+            with pytest.raises(NotPositiveDefiniteError, match="^Q is not positive semidefinite"):
+                call(bad)
 
     def test_dimension_mismatch_names_pair(self):
         params = ModelParams(
@@ -66,7 +74,7 @@ class TestValidate:
         "check",
         [
             lambda p: validate(p),
-            lambda p: validate(p, semidefinite_ok=True),
+            lambda p: validate(_singular(p)),
             lambda p: simulate(p, K=5, seed=0),
             lambda p: kalman_filter(p, np.ones((5, 2))),
         ],
@@ -79,12 +87,14 @@ class TestValidate:
         with pytest.raises(NonFiniteError, match=f"^{name} contains NaN or infinite values$"):
             check(ModelParams(**{**params.__dict__, name: M}))
 
-    def test_semidefinite_flag_allows_zero(self):
+    def test_a_zero_covariance_is_valid_but_cannot_be_sampled(self):
+        """`validate` takes a semidefinite Q; a noisy `simulate` needs its Cholesky factor, a noiseless one does not."""
         params = _identity_params()
         psd = ModelParams(**{**params.__dict__, "Q": np.zeros((2, 2))})
-        validate(psd, semidefinite_ok=True)
-        with pytest.raises(NotPositiveDefiniteError):
-            validate(psd)
+        assert validate(psd) is psd
+        with pytest.raises(NotPositiveDefiniteError, match=r"^Q is not positive definite \(Cholesky failed\)$"):
+            simulate(psd, K=5, seed=0)
+        assert simulate(psd, K=5, seed=0, noiseless=True).observations.shape == (5, 2)
 
 
 class TestModelParams:

@@ -211,7 +211,7 @@ class TestDouglasRachford:
         stats, Q, Omega = random_instance(rng)
         A_star = forward_backward(stats, Q, Omega, np.zeros((3, 3)))
         cfg = DRConfig(tol=1e-6, max_iter=3)
-        scale = _setup(stats, Omega, Omega.shape, cfg, QFactors.of(Q))[2]
+        scale = _setup(stats, Omega, A_star, cfg, QFactors.of(Q))[2]
         grad = np.linalg.inv(Q) @ (A_star @ stats.Phi - stats.Delta)
         z_star = A_star - scale * grad
         report = douglas_rachford(stats, Q, Omega, z_star, cfg)
@@ -241,7 +241,7 @@ BAD_Q = {
     "inf": (np.array([[np.inf, 0.0], [0.0, 1.0]]), NonFiniteError, "Q is not finite"),
     "-inf": (np.array([[1.0, 0.0], [0.0, -np.inf]]), NonFiniteError, "Q is not finite"),
     "indefinite": (np.array([[1.0, 2.0], [2.0, 1.0]]), NotPositiveDefiniteError, "Q is not positive definite"),
-    "not-square": (np.ones((2, 3)), DimensionMismatchError, "Q must be square"),
+    "not-square": (np.ones((2, 3)), DimensionMismatchError, "Q must be a non-empty square matrix"),
 }
 
 
