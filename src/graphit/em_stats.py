@@ -19,8 +19,8 @@ run whose covariances settle has a few dozen runs whatever K; when they
 never settle, every step is a run of its own.
 
 Q enters the bound through Q^{-1} and the M-step's prox through Q's
-eigendecomposition. `QFactors.of` is the only code that checks Q and factors
-it, once per fit; the bound and the Douglas-Rachford solver take its factors.
+eigendecomposition. `QFactors.of` is the only code that checks Q's values and
+factors it, once per fit; the bound and the Douglas-Rachford solver take its factors.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def compute_stats(smoother: SmootherRun) -> EMStats:
 
 @dataclass(frozen=True)
 class QFactors:
-    """The factorizations of Q that every M-step of one fit shares, and the only check of Q.
+    """The factorizations of Q that every M-step of one fit shares, and the only check of Q's values.
 
     Q = U diag(lam) U^T, and `cholesky` is Q's lower Cholesky factor by `dpotrf`,
     which factors a NaN without complaint: hence the finite check first.

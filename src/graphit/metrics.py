@@ -32,8 +32,8 @@ def check_threshold(value, name: str) -> None:
 
 def _pair(A_hat, A_true) -> tuple[np.ndarray, np.ndarray]:
     """An estimate and its truth as float arrays of one shape."""
-    A_true = real_array(A_true, "A_true")
-    return check_shape(real_array(A_hat, "A_hat"), A_true.shape, "A_hat"), A_true
+    A_hat, A_true = real_array(A_hat, "A_hat"), real_array(A_true, "A_true")
+    return check_shape(A_hat, A_true.shape, "A_hat"), A_true
 
 
 def rmse(A_hat: np.ndarray, A_true: np.ndarray) -> float:

@@ -11,7 +11,7 @@ Sylvester-type positive definite linear solve, diagonalized by the symmetric
 eigendecompositions of Q and Phi for every Q.
 
 Q is fixed for a whole fit, so `graphit` factors it once (`em_stats.QFactors`,
-the only code that checks and factors Q: its eigendecomposition and Cholesky
+the only code that checks Q's values and factors Q: its eigendecomposition and Cholesky
 factor) and each solve adds one eigh(Phi).
 In those eigenbases the quadratic prox is y = U (G . (U^T v W) + B) W^T with
 G and B fixed for the solve, so a sweep is four small matrix products plus

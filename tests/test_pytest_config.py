@@ -42,3 +42,19 @@ def test_a_leaked_warning_fails_the_test(tmp_path):
         cwd=tmp_path, capture_output=True, text=True,
     )
     assert "2 failed" in run.stdout
+
+
+def test_a_failing_property_test_does_not_abort_the_run(tmp_path):
+    """Reporting a failing hypothesis example imports libcst, whose import warning must not end the session."""
+    (tmp_path / "pyproject.toml").write_text(PYPROJECT)
+    (tmp_path / "test_a.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\ndef test_property(x):\n    assert x < 0\n\n"
+        "def test_after():\n    pass\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_a.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert "1 failed, 1 passed" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr
