@@ -236,7 +236,7 @@ def graphit_lockstep(
             [(stats, Omega, A_prev)] = problems
             reports = [attempt(douglas_rachford, stats, Q, Omega, A_prev, cfg.dr, q_factors)]
         else:
-            reports = douglas_rachford_lockstep(problems, Q, cfg.dr, q_factors)
+            reports = douglas_rachford_lockstep(problems, cfg.dr, q_factors)
         return [report if isinstance(report, Exception) else report.minimizer for report in reports]
 
     fits = [_Fit(A0, dataclasses.replace(cfg, potential=potential)) for potential in potentials]

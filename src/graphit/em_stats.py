@@ -103,7 +103,11 @@ def q_quadratic(A: np.ndarray, stats: EMStats, Q: np.ndarray, q_factors: QFactor
     if q_factors is None:
         q_factors = QFactors.of(Q)
     check_shape(q_factors.U, stats.Psi.shape, "Q")
-    A = check_shape(real_array(A, "A"), stats.Psi.shape, "A")
+    return _q_value(check_shape(real_array(A, "A"), stats.Psi.shape, "A"), stats, q_factors)
+
+
+def _q_value(A: np.ndarray, stats: EMStats, q_factors: QFactors) -> float:
+    """`q_quadratic` without its checks: A is a float array of Psi's shape, and so are Q's factors."""
     # A Delta^T is (Delta A^T)^T bit for bit, and `ndarray.dot` makes `@`'s BLAS products.
     cross = stats.Delta.dot(A.T)
     inner = stats.Psi - cross - cross.T + A.dot(stats.Phi).dot(A.T)

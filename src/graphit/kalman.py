@@ -74,7 +74,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .exceptions import DimensionMismatchError, NonFiniteError, SingularPredictiveCovarianceError, attempt
 from .model import ModelParams, check_transition, real_array, validate
@@ -171,14 +171,25 @@ def _double(M: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     After the pass with stride s, row j holds sum_{i=j-2s+1}^{j} M^{j-i} b_i,
     so once s >= len(b) every row holds its iterate.
+
+    The scan stops early once the next power P = M^{2s} has
+    n max|P_ij| < 2^-60, a bound on ||P||_inf. The first skipped addend of a
+    row, P times the partial sum 2s rows above it, is then below 2^-60 times
+    the largest partial sum (in the max norm), and each later one is smaller
+    again, because its power is a square of P. A stable M (the settled filter
+    and smoother gains) ends its scan this way; a power that does not decay,
+    as at spectral radius 1, never stops it.
     """
     b[0] += M @ x
     power, s = M, 1
     while s < len(b):
-        b[s:] += b[:-s] @ power.T
+        # A contiguous right operand: the product costs about half that with a transposed view.
+        b[s:] += b[:-s].dot(power.T.copy())
         s *= 2
         if s < len(b):
             power = power @ power
+            if len(power) * np.abs(power).max() < 2.0**-60:
+                break
     return b[-1]
 
 
@@ -346,17 +357,18 @@ def _filter_run(params: ModelParams, ys: np.ndarray, cov_pass: _FilterPass) -> F
     HA = H.dot(A)
     drive = np.empty((K, params.nx))
     np.matmul(ys[:t, None], gains[:t].transpose(0, 2, 1), out=drive[:t, None])
-    drive[t:] = ys[t:] @ gains[t].T
+    drive[t:] = ys[t:].dot(gains[t].T.copy())
     closed = A - gains @ HA
     x = _steps(closed[:t], drive[:t], params.mu0)
     _double(closed[t], drive[t:], x)
     means = drive  # the scan leaves the iterates in place
-    residuals = ys - np.vstack([params.mu0, means[:-1]]) @ HA.T
+    residuals = ys - np.vstack([params.mu0, means[:-1]]).dot(HA.T.copy())
 
-    # log|S_k| from the factors' diagonals; z_k^T S_k^{-1} z_k = |L_k^{-1} z_k|^2.
+    # log|S_k| from the factors' diagonals; z_k^T S_k^{-1} z_k = |L_k^{-1} z_k|^2. The settled
+    # steps share L_t, so their whitened residuals are one product with L_t^{-1}.
     logdets = np.log(diagonals).sum(axis=1)
     W = np.linalg.solve(factors[:t], residuals[:t, :, None])
-    V = dtrtrs(factors[t], residuals[t:].T, lower=1)[0]
+    V = residuals[t:].dot(dtrtri(factors[t], lower=1)[0].T.copy())
     quad = float(np.vdot(W, W) + np.vdot(V, V))
     logdet = 2.0 * float(logdets[:t].sum() + (K - t) * logdets[t])
     nll = 0.5 * (K * params.ny * LOG_2PI + logdet + quad)
@@ -475,7 +487,7 @@ def rts_smoother(params: ModelParams, filter_run: FilterRun) -> SmootherRun:
     GA = gains @ params.A
     offsets = np.empty((K, params.nx))
     np.matmul(prior_means[:last, None], GA[:last].transpose(0, 2, 1), out=offsets[:last, None])
-    offsets[last:] = prior_means[last:] @ GA[last].T
+    offsets[last:] = prior_means[last:].dot(GA[last].T.copy())
     np.subtract(prior_means, offsets, out=offsets)
     # Backward from m_K: the settled gain serves the first K - last steps, then G_{last-1}..G_0.
     back = offsets[::-1].copy()

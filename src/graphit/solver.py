@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em_stats import EMStats, QFactors, q_quadratic
+from .em_stats import EMStats, QFactors, _q_value, q_quadratic
 from .exceptions import ConfigError, attempt
 from .model import check_count, check_positive, check_shape, is_real, real_array
 
@@ -151,15 +151,20 @@ def surrogate_value(
     return q_quadratic(A, stats, Q, q_factors) + float(np.sum(Omega * np.abs(A)))
 
 
+def _surrogate(A: np.ndarray, stats: EMStats, Omega: np.ndarray, q_factors: QFactors) -> float:
+    """`surrogate_value` at a float A and weights Omega that `_setup` checked against stats and Q."""
+    return _q_value(A, stats, q_factors) + float(np.sum(Omega * np.abs(A)))
+
+
 def _setup(stats: EMStats, Omega: np.ndarray, A_init: np.ndarray, cfg: DRConfig, q_factors: QFactors) -> tuple:
-    """Of a solve whose Q, A_init and Omega have Psi's shape: Phi's (m, W), the prox scale (`DRConfig`), thresholds."""
+    """Of a solve whose Q, A_init and Omega have Psi's shape: Phi's (m, W), the prox scale (`DRConfig`), checked Omega."""
     check_shape(q_factors.U, stats.Psi.shape, "Q")
     check_shape(A_init, stats.Psi.shape, "A_init")
     Omega = check_weights(Omega, stats.Psi.shape)
     m, W = np.linalg.eigh(stats.Phi)
     curvature = float(m.max()) / float(q_factors.lam.min())
     scale = cfg.step if curvature <= 0.0 else cfg.step / curvature
-    return m, W, scale, scale * Omega
+    return m, W, scale, Omega
 
 
 def _sweep(z, t, neg_t, prox_q, relaxation, c, v, y, x) -> None:
@@ -181,11 +186,9 @@ def _sweep(z, t, neg_t, prox_q, relaxation, c, v, y, x) -> None:
         z += y
 
 
-def _report(x, iterations, residual, converged, stats, Q, Omega, A_init, q_factors) -> SolverReport:
+def _report(x, iterations, residual, converged, stats, Omega, A_init, q_factors) -> SolverReport:
     """The report of a finished solve, with A_init in place of an x whose inner objective is worse."""
-    fell_back = (
-        surrogate_value(x, stats, Q, Omega, q_factors) > surrogate_value(A_init, stats, Q, Omega, q_factors) + 1e-12
-    )
+    fell_back = _surrogate(x, stats, Omega, q_factors) > _surrogate(A_init, stats, Omega, q_factors) + 1e-12
     if fell_back:
         x = np.array(A_init, dtype=float)
     return SolverReport(
@@ -218,8 +221,9 @@ def douglas_rachford(
     if q_factors is None:
         q_factors = QFactors.of(Q)
     A_init = real_array(A_init, "A_init")
-    m, W, scale, t = _setup(stats, Omega, A_init, cfg, q_factors)
+    m, W, scale, Omega = _setup(stats, Omega, A_init, cfg, q_factors)
     prox_q = _QuadraticProx(stats.Delta, q_factors.lam, q_factors.U, m, W, scale)
+    t = scale * Omega
     neg_t = -t
     z = A_init.copy()
     c, v, y, x, x_prev = (np.empty_like(z) for _ in range(5))
@@ -237,7 +241,7 @@ def douglas_rachford(
                 converged = True
                 break
         norm_prev = math.sqrt(np.vdot(x, x))
-    return _report(x, n, residual, converged, stats, Q, Omega, A_init, q_factors)
+    return _report(x, n, residual, converged, stats, Omega, A_init, q_factors)
 
 
 def _norms(V: np.ndarray) -> np.ndarray:
@@ -253,7 +257,6 @@ def _norms(V: np.ndarray) -> np.ndarray:
 
 def douglas_rachford_lockstep(
     problems: Sequence[tuple[EMStats, np.ndarray, np.ndarray]],
-    Q: np.ndarray,
     cfg: DRConfig,
     q_factors: QFactors,
 ) -> list:
@@ -267,13 +270,14 @@ def douglas_rachford_lockstep(
     entry is the SolverReport of its problem, or the error in `FIT_ERRORS`
     that `douglas_rachford` raises there.
     """
-    reports = [attempt(_setup, stats, Omega, A_init, cfg, q_factors) for stats, Omega, A_init in problems]
-    live = [j for j, setup in enumerate(reports) if not isinstance(setup, Exception)]
+    setups = [attempt(_setup, stats, Omega, A_init, cfg, q_factors) for stats, Omega, A_init in problems]
+    live = [j for j, setup in enumerate(setups) if not isinstance(setup, Exception)]
     if not live:
-        return reports
-    m, W, scale, t = (np.array(stack) for stack in zip(*(reports[j] for j in live)))
+        return setups
+    m, W, scale, Omega = (np.array(stack) for stack in zip(*(setups[j] for j in live)))
     Delta = np.array([problems[j][0].Delta for j in live])
     prox_q = _QuadraticProx(Delta, q_factors.lam, q_factors.U, m, W, scale)
+    t = scale[:, None, None] * Omega
     neg_t = -t
 
     z = np.array([problems[j][2] for j in live], dtype=float)
@@ -299,7 +303,8 @@ def douglas_rachford_lockstep(
     for row in np.flatnonzero(running):
         finished[live[row]] = (x[row].copy(), cfg.max_iter, float(residuals[row]), False)
 
+    reports = list(setups)  # a problem that failed its setup keeps its error
     for j, (x, n, residual, converged) in finished.items():
-        stats, Omega, A_init = problems[j]
-        reports[j] = _report(x, n, residual, converged, stats, Q, Omega, A_init, q_factors)
+        stats, _, A_init = problems[j]
+        reports[j] = _report(x, n, residual, converged, stats, setups[j][3], A_init, q_factors)
     return reports

@@ -6,7 +6,8 @@ accepted ones (`tests/test_golden.py` compares later commits to them):
     PYTHONPATH=src python3 tests/make_golden.py
 
 It takes about 20 s on two cores. Like `perfbench/reference.json`, the bytes
-assume one numpy and scipy build; `versions.json` records which.
+assume one numpy and scipy build; `versions.json` records which, with the
+BLAS each was built against.
 """
 
 import contextlib
@@ -28,9 +29,24 @@ CONFIGS = sorted(path.stem for path in (ROOT / "configs").glob("*.cfg"))
 GRIDS = ("graphit", "graphem")  # every shipped config has a grid for each
 
 
+def _blas(module) -> str:
+    """The BLAS build `module` was linked against, read as `perfbench/run.py::metadata` reads numpy's."""
+    blas = {}
+    try:
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except Exception:  # show_config's layout is not a stable interface
+        pass
+    return f"{blas.get('name', '?')} {blas.get('version', '?')}"
+
+
 def versions() -> dict[str, str]:
-    """The numpy and scipy versions of this process."""
-    return {"numpy": np.__version__, "scipy": scipy.__version__}
+    """The numpy and scipy versions of this process and the BLAS build of each.
+
+    The E-step's settled products pass a contiguous copy of a transposed
+    operand; the bytes rest on the BLAS giving such a tall product the same
+    result as with the transposed view, as OpenBLAS does here.
+    """
+    return {"numpy": np.__version__, "scipy": scipy.__version__, "numpy_blas": _blas(np), "scipy_blas": _blas(scipy)}
 
 
 def _run(argv: list[str]) -> str:

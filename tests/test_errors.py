@@ -79,7 +79,7 @@ SCENARIO = dict(scenario_id="errors", n_x=2, n_y=2, s=1, k=5, methods=("graphem"
 
 def _lockstep_entry(*problem):
     """Raise the error that `douglas_rachford_lockstep` returns as the entry of its one `problem`."""
-    (outcome,) = douglas_rachford_lockstep([problem], I2, DRConfig(), QFactors.of(I2))
+    (outcome,) = douglas_rachford_lockstep([problem], DRConfig(), QFactors.of(I2))
     raise outcome
 
 

@@ -20,7 +20,7 @@ from graphit import (
 from graphit.algorithms import EstimatorConfig, graphit, graphit_lockstep
 from graphit.kalman import _double, _steps
 
-from oracles import dense_filter, dense_smoother, nll_oracle, random_stable_params, smoother_oracle
+from oracles import dense_filter, dense_smoother, nll_oracle, random_stable_params, reference_filter, smoother_oracle
 
 
 def _scalar_params(A=1.0, H=1.0, Q=0.0, R=1.0, mu0=0.0, Sigma0=1.0):
@@ -76,6 +76,14 @@ class TestKalmanFilter:
             traj = simulate(params, K=K, seed=int(rng.integers(1 << 30)))
             run = kalman_filter(params, traj.observations)
             assert run.neg_log_lik == pytest.approx(nll_oracle(params, traj.observations), abs=1e-8)
+
+    def test_long_horizon_likelihood_matches_the_per_step_filter(self):
+        # About 990 settled steps, whose quadratic terms are one product with the inverse factor.
+        params = random_stable_params(np.random.default_rng(12), nx=8, ny=4)
+        ys = simulate(params, K=1000, seed=13).observations
+        run = kalman_filter(params, ys)
+        assert run.steady_step is not None and run.steady_step < 50
+        assert run.neg_log_lik == pytest.approx(reference_filter(params, ys).neg_log_lik, rel=1e-12)
 
     def test_singular_predictive_covariance_raises_with_step(self):
         params = ModelParams(
@@ -248,6 +256,45 @@ class TestRunScan:
         runs, offsets, x = self._inputs(3, nx=4, lengths=[1] * 50)
         mats = np.array([M for M, _ in runs])
         self._assert_close(self._transients_then_stretch(mats, offsets, x), _loop_scan(runs, offsets, x))
+
+    @staticmethod
+    def _full_double(M, b, x):
+        # `_double` without its early stop: every pass up to stride len(b), with the same products.
+        b[0] += M @ x
+        power, s = M, 1
+        while s < len(b):
+            b[s:] += b[:-s].dot(power.T.copy())
+            s *= 2
+            power = power @ power
+        return b
+
+    def test_a_strongly_stable_scan_stops_below_rounding(self):
+        # Spectral radius 0.3: M^64 is about 1e-33, so the passes of stride 64 and up are skipped.
+        rng = np.random.default_rng(14)
+        M = rng.standard_normal((5, 5))
+        M *= 0.3 / np.max(np.abs(np.linalg.eigvals(M)))
+        offsets, x = rng.standard_normal((981, 5)), rng.standard_normal(5)
+        # A first offset so large that the skipped passes would move later rows by far more than an ulp.
+        offsets[0] *= 1e40
+        got = offsets.copy()
+        _double(M, got, x)
+        full = self._full_double(M, offsets.copy(), x)
+        self._assert_close(got, _loop_scan([(M, 981)], offsets, x))
+        assert not np.array_equal(got, full)
+        # Each skipped addend is below 2^-60 of the largest partial sum; its sum changes a row by at most twice it.
+        assert np.abs(got - full).max() <= 2.0**-58 * np.abs(full).max()
+
+    def test_a_rotation_scan_makes_every_pass(self):
+        # Spectral radius 1: no power decays, so the scan is the full doubling, bit for bit.
+        rng = np.random.default_rng(15)
+        c, s = np.cos(0.1), np.sin(0.1)
+        M = np.eye(5)
+        M[:2, :2] = [[c, -s], [s, c]]
+        offsets, x = rng.standard_normal((981, 5)), rng.standard_normal(5)
+        got = offsets.copy()
+        _double(M, got, x)
+        np.testing.assert_array_equal(got, self._full_double(M, offsets.copy(), x))
+        self._assert_close(got, _loop_scan([(M, 981)], offsets, x))
 
 
 class TestRTSSmoother:

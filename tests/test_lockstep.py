@@ -241,7 +241,7 @@ def test_douglas_rachford_lockstep_matches_lone_solves(batch):
     """Each problem's report is the lone solve's, minimizer bytes and iteration count included."""
     problems, Q, cfg = batch
     q_factors = QFactors.of(Q)
-    reports = douglas_rachford_lockstep(problems, Q, cfg, q_factors)
+    reports = douglas_rachford_lockstep(problems, cfg, q_factors)
     for (stats, Omega, A_init), report in zip(problems, reports):
         lone = douglas_rachford(stats, Q, Omega, A_init, cfg, q_factors)
         assert outcome_bytes(report, REPORT_FIELDS) == outcome_bytes(lone, REPORT_FIELDS)
@@ -257,7 +257,7 @@ def test_douglas_rachford_lockstep_fails_only_the_bad_weights(batch, data):
     Omega.flat[data.draw(st.integers(0, Omega.size - 1))] = data.draw(st.sampled_from([-1e-3, np.nan, np.inf]))
     problems[bad] = (stats, Omega, A_init)
     q_factors = QFactors.of(Q)
-    reports = douglas_rachford_lockstep(problems, Q, cfg, q_factors)
+    reports = douglas_rachford_lockstep(problems, cfg, q_factors)
     for j, ((stats, Omega, A_init), report) in enumerate(zip(problems, reports)):
         if j == bad:
             assert (type(report), str(report)) == (ConfigError, "Omega must be finite and >= 0")

@@ -15,6 +15,7 @@ from graphit import (
     validate,
 )
 from graphit.algorithms import default_init
+from graphit.model import _check_covariance
 
 from oracles import random_spd, reference_simulate
 
@@ -95,6 +96,24 @@ class TestValidate:
         with pytest.raises(NotPositiveDefiniteError, match=r"^Q is not positive definite \(Cholesky failed\)$"):
             simulate(psd, K=5, seed=0)
         assert simulate(psd, K=5, seed=0, noiseless=True).observations.shape == (5, 2)
+
+
+    @pytest.mark.parametrize(
+        "M, passes, eigvalsh_calls",
+        [([[2.0, 1.0], [1.0, 2.0]], True, 0), ([[1.0, 1.0], [1.0, 1.0]], True, 1), ([[1.0, 2.0], [2.0, 1.0]], False, 1)],
+        ids=["definite", "singular-semidefinite", "indefinite"],
+    )
+    def test_covariance_check_factors_first(self, M, passes, eigvalsh_calls, monkeypatch):
+        """A matrix that Cholesky factors passes at once; only a singular or indefinite one pays for eigenvalues."""
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M) or eigvalsh(M))
+        if passes:
+            _check_covariance(np.array(M), "Q")
+        else:
+            with pytest.raises(NotPositiveDefiniteError, match=r"^Q is not positive semidefinite \(min eigenvalue -1\.000e\+00\)$"):
+                _check_covariance(np.array(M), "Q")
+        assert len(calls) == eigvalsh_calls
 
 
 class TestModelParams:

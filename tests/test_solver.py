@@ -354,7 +354,7 @@ def test_douglas_rachford_minimizer_satisfies_kkt(batched, batch):
     problems, Q, cfg = batch
     q_factors = QFactors.of(Q)
     if batched:
-        reports = douglas_rachford_lockstep(problems, Q, cfg, q_factors)
+        reports = douglas_rachford_lockstep(problems, cfg, q_factors)
     else:
         reports = [douglas_rachford(stats, Q, Omega, A_init, cfg, q_factors) for stats, Omega, A_init in problems]
     for (stats, Omega, _), report in zip(problems, reports):
