@@ -157,7 +157,7 @@ def _surrogate(A: np.ndarray, stats: EMStats, Omega: np.ndarray, q_factors: QFac
 
 
 def _setup(stats: EMStats, Omega: np.ndarray, A_init: np.ndarray, cfg: DRConfig, q_factors: QFactors) -> tuple:
-    """Of a solve whose Q, A_init and Omega have Psi's shape: Phi's (m, W), the prox scale (`DRConfig`), checked Omega."""
+    """Of a solve whose Q, A_init and Omega have Psi's shape: Phi's (m, W), the prox scale (`DRConfig`), Omega."""
     check_shape(q_factors.U, stats.Psi.shape, "Q")
     check_shape(A_init, stats.Psi.shape, "A_init")
     Omega = check_weights(Omega, stats.Psi.shape)

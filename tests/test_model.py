@@ -100,7 +100,11 @@ class TestValidate:
 
     @pytest.mark.parametrize(
         "M, passes, eigvalsh_calls",
-        [([[2.0, 1.0], [1.0, 2.0]], True, 0), ([[1.0, 1.0], [1.0, 1.0]], True, 1), ([[1.0, 2.0], [2.0, 1.0]], False, 1)],
+        [
+            ([[2.0, 1.0], [1.0, 2.0]], True, 0),
+            ([[1.0, 1.0], [1.0, 1.0]], True, 1),
+            ([[1.0, 2.0], [2.0, 1.0]], False, 1),
+        ],
         ids=["definite", "singular-semidefinite", "indefinite"],
     )
     def test_covariance_check_factors_first(self, M, passes, eigvalsh_calls, monkeypatch):
@@ -111,7 +115,8 @@ class TestValidate:
         if passes:
             _check_covariance(np.array(M), "Q")
         else:
-            with pytest.raises(NotPositiveDefiniteError, match=r"^Q is not positive semidefinite \(min eigenvalue -1\.000e\+00\)$"):
+            message = r"^Q is not positive semidefinite \(min eigenvalue -1\.000e\+00\)$"
+            with pytest.raises(NotPositiveDefiniteError, match=message):
                 _check_covariance(np.array(M), "Q")
         assert len(calls) == eigvalsh_calls
 
