@@ -98,7 +98,6 @@ class _Fit:
         self.trace: list[float] = []
         self.iterates: list[np.ndarray] = []
         self.stopped_by: Literal["precision", "cap"] = "cap"
-        self.outer = 0
 
     def record(self, neg_log_lik: float) -> None:
         """Trace the objective at the current iterate, whose filter gave `neg_log_lik`."""
@@ -106,23 +105,22 @@ class _Fit:
             neg_log_lik += penalty_value(self.cfg.potential, self.A)
         self.trace.append(neg_log_lik)
 
-    def advance(self, A_new: np.ndarray, i: int) -> bool:
-        """Move to the iterate of outer iteration i; True when the fit stops there."""
+    def advance(self, A_new: np.ndarray) -> bool:
+        """Move to the iterate of the next outer iteration; True when the fit stops there."""
         self.iterates.append(A_new)
-        self.outer = i
         change = float(np.linalg.norm(A_new - self.A))
         threshold = self.cfg.epsilon * float(np.linalg.norm(self.A))
         self.A = A_new
         if change <= threshold:
             self.stopped_by = "precision"
-        return change <= threshold or i == self.cfg.max_outer
+        return change <= threshold or len(self.iterates) == self.cfg.max_outer
 
     def result(self, params_rest: ModelParams, observations: np.ndarray) -> EstimatorResult:
         self.trace.append(objective(self.A, params_rest, observations, self.cfg.potential))
         return EstimatorResult(
             A_hat=self.A,
             objective_trace=tuple(self.trace),
-            outer_iterations=self.outer,
+            outer_iterations=len(self.iterates),
             stopped_by=self.stopped_by,
             iterates=tuple(self.iterates),
         )
@@ -167,7 +165,7 @@ def _mm_loop(observations, params_rest, fits: Sequence[_Fit], minimize) -> list:
             batch[j] = (compute_stats(srun), fits[j])
             fits[j].record(fruns[j].neg_log_lik)
         steps = going(batch, minimize(list(batch.values()), i)) if batch else {}
-        live = [j for j, A_new in steps.items() if not fits[j].advance(A_new, i)]
+        live = [j for j, A_new in steps.items() if not fits[j].advance(A_new)]
     return [
         outcome if outcome is not None else attempt(fit.result, params_rest, observations)
         for fit, outcome in zip(fits, outcomes)

@@ -93,15 +93,13 @@ class QFactors:
         return cls(lam=lam, U=U, cholesky=cholesky)
 
 
-def q_quadratic(A: np.ndarray, stats: EMStats, Q: np.ndarray, q_factors: QFactors | None = None) -> float:
+def q_quadratic(A: np.ndarray, stats: EMStats, Q: np.ndarray) -> float:
     """Quadratic transition term of the EM bound.
 
     Returns 1/2 tr(Q^{-1} (Psi - Delta A^T - A Delta^T + A Phi A^T)),
-    evaluated through a Cholesky solve against Q by `dpotrs`. A caller holding
-    `q_factors = QFactors.of(Q)` passes it to skip the factorization.
+    evaluated through a Cholesky solve against Q by `dpotrs`.
     """
-    if q_factors is None:
-        q_factors = QFactors.of(Q)
+    q_factors = QFactors.of(Q)
     check_shape(q_factors.U, stats.Psi.shape, "Q")
     return _q_value(check_shape(real_array(A, "A"), stats.Psi.shape, "A"), stats, q_factors)
 

@@ -42,9 +42,9 @@ class SingularStatisticsError(GraphitError, RuntimeError):
     Carries the 1-based outer iteration at which the failure occurred.
     """
 
-    def __init__(self, iteration: int, message: str | None = None):
+    def __init__(self, iteration: int):
         self.iteration = iteration
-        super().__init__(message or f"second-moment statistic singular at outer iteration {iteration}")
+        super().__init__(f"second-moment statistic singular at outer iteration {iteration}")
 
 
 # The errors that end one fit but not the run that made it: the bench counts such a fit as

@@ -58,13 +58,15 @@ likelihood terms are one product of the residuals with L^{-T} (`dtrtri`),
 not a triangular solve with a thousand right-hand sides.
 
 The smoother, `rts_smoother`, is one pass in the same style. Its gains
-G_k = (P_{k+1|k}^{-1} A Sigma_k)^T change only up to the steady step, and it
-takes P_{k+1|k} and A Sigma_k from the filter, so its gain loop only factors
-and solves. Its backward covariance recursion stops once it settles in the
-constant-gain stretch, whose middle is one run of the settled value. Its
-means run backward on a reversed copy of their offsets: by doubling over the
-stretch the constant smoother gain serves, then step by step through the
-transient gains.
+G_k = (P_{k+1|k}^{-1} A Sigma_k)^T change only up to the steady step. It
+takes P_{k+1|k} and A Sigma_k from the filter, which holds them for the
+steps it lists, and computes the settled pair from the last Sigma_k itself,
+with the filter's operations; so its gain loop only factors and solves. Its
+backward covariance recursion stops once it settles in the constant-gain
+stretch, whose middle is one run of the settled value. Its means run
+backward on a reversed copy of their offsets: by doubling over the stretch
+the constant smoother gain serves, then step by step through the transient
+gains.
 
 Several models that differ in A only, as the fits of a grid search at one
 outer iteration, can share the filter's covariance loop.
@@ -105,10 +107,7 @@ class FilterRun:
     Each serves one step, and the last one every step from there to K.
     `predicted_covs[j]` and `cross_covs[j]` are P_{j+1|j} = A Sigma_j A^T + Q
     and A Sigma_j, the covariance of x_{j+1} with x_j given y_1..y_j
-    (Sigma_0 is the prior), in the same layout. When the
-    covariances settle before K they hold one entry more than
-    `filtered_covs`, because P_{k+1|k} is constant only from the step after
-    the one at which Sigma_k settles.
+    (Sigma_0 is the prior), one entry for each of `filtered_covs`.
 
     `steady_step` is the 1-based step from which the covariances, the
     gains and S_k are constant, or None if they never settled.
@@ -118,8 +117,8 @@ class FilterRun:
     filtered_covs: np.ndarray     # (m, N_x, N_x)
     residuals: np.ndarray         # (K, N_y)
     predictive_covs: np.ndarray   # (m, N_y, N_y)
-    predicted_covs: np.ndarray    # (p, N_x, N_x), p = min(m + 1, K)
-    cross_covs: np.ndarray        # (p, N_x, N_x)
+    predicted_covs: np.ndarray    # (m, N_x, N_x)
+    cross_covs: np.ndarray        # (m, N_x, N_x)
     neg_log_lik: float
     steady_step: int | None = None
 
@@ -351,12 +350,6 @@ def _filter_run(params: ModelParams, ys: np.ndarray, cov_pass: _FilterPass) -> F
     A, H = params.A, params.H
     factors = np.array(cov_pass.factors)
     diagonals = _guard(factors, cov_pass.failed)
-    covs, preds, crosses = cov_pass.covs, cov_pass.preds, cov_pass.crosses
-    if len(preds) < K:
-        # P_{k+1|k} from the settled Sigma_k serves every later step.
-        cross = A.dot(covs[-1])
-        preds.append(_sym(cross.dot(A.T) + params.Q))
-        crosses.append(cross)
     # Steps 1..t are transient, one value each; value t serves steps t+1..K.
     gains = np.array(cov_pass.gains)
     t = len(gains) - 1
@@ -386,11 +379,11 @@ def _filter_run(params: ModelParams, ys: np.ndarray, cov_pass: _FilterPass) -> F
 
     return FilterRun(
         filtered_means=means,
-        filtered_covs=np.array(covs),
+        filtered_covs=np.array(cov_pass.covs),
         residuals=residuals,
         predictive_covs=np.array(cov_pass.pred_covs),
-        predicted_covs=np.array(preds),
-        cross_covs=np.array(crosses),
+        predicted_covs=np.array(cov_pass.preds),
+        cross_covs=np.array(cov_pass.crosses),
         neg_log_lik=nll,
         steady_step=cov_pass.steady_step,
     )
@@ -446,15 +439,22 @@ def rts_smoother(params: ModelParams, filter_run: FilterRun) -> SmootherRun:
 
         G_k = Sigma_k A^T (A Sigma_k A^T + Q)^{-1},  k = 0..K-1,
 
-    where Sigma_0 is the prior initial covariance; A Sigma_k A^T + Q and
-    A Sigma_k are the filter's. A singular A Sigma_k A^T + Q is reported at
-    the 1-based step k + 1 it predicts, the earliest such step first.
+    where Sigma_0 is the prior initial covariance. A Sigma_k A^T + Q and
+    A Sigma_k are the filter's for the steps it lists; the settled pair that
+    serves every later k is computed here from the last filtered covariance.
+    A singular A Sigma_k A^T + Q is reported at the 1-based step k + 1 it
+    predicts, the earliest such step first.
     """
-    K = filter_run.horizon
-    fmeans, fcovs, preds = filter_run.filtered_means, filter_run.filtered_covs, filter_run.predicted_covs
+    K, A = filter_run.horizon, params.A
+    fmeans, fcovs = filter_run.filtered_means, filter_run.filtered_covs
+    preds, crosses = filter_run.predicted_covs, filter_run.cross_covs
+    if len(preds) < K:
+        # P_{k+1|k} from the settled Sigma_k serves every later step.
+        cross = A.dot(fcovs[-1])
+        preds, crosses = [*preds, _sym(cross.dot(A.T) + params.Q)], [*crosses, cross]
     # G_0..G_last from the filter's distinct predictions; G_last serves every k >= last.
     gains, factors = [], []
-    for P_pred, cross in zip(preds, filter_run.cross_covs):
+    for P_pred, cross in zip(preds, crosses):
         L, info = dpotrf(P_pred, lower=1)
         factors.append(L)
         if info:
@@ -493,7 +493,7 @@ def rts_smoother(params: ModelParams, filter_run: FilterRun) -> SmootherRun:
 
     # m_k = (mu_k - G_k A mu_k) + G_k m_{k+1}, with mu_k the filtered mean.
     prior_means = np.vstack([params.mu0, fmeans[:-1]])
-    GA = gains @ params.A
+    GA = gains @ A
     offsets = np.empty((K, params.nx))
     np.matmul(prior_means[:last, None], GA[:last].transpose(0, 2, 1), out=offsets[:last, None])
     offsets[last:] = prior_means[last:].dot(GA[last].T.copy())

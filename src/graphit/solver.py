@@ -143,12 +143,10 @@ def prox_quadratic(V: np.ndarray, stats: EMStats, Q: np.ndarray, step: float) ->
     return _QuadraticProx(stats.Delta, q_factors.lam, q_factors.U, m, W, step)(V)
 
 
-def surrogate_value(
-    A: np.ndarray, stats: EMStats, Q: np.ndarray, Omega: np.ndarray, q_factors: QFactors | None = None
-) -> float:
-    """Full inner objective q(A) + ||Omega . A||_1 (`q_factors` as in `q_quadratic`)."""
+def surrogate_value(A: np.ndarray, stats: EMStats, Q: np.ndarray, Omega: np.ndarray) -> float:
+    """Full inner objective q(A) + ||Omega . A||_1."""
     Omega = check_shape(real_array(Omega, "Omega"), stats.Psi.shape, "Omega")
-    return q_quadratic(A, stats, Q, q_factors) + float(np.sum(Omega * np.abs(A)))
+    return q_quadratic(A, stats, Q) + float(np.sum(Omega * np.abs(A)))
 
 
 def _surrogate(A: np.ndarray, stats: EMStats, Omega: np.ndarray, q_factors: QFactors) -> float:

@@ -113,7 +113,13 @@ def _expand_filter_runs(values, K):
 
 
 def dense_filter(run: FilterRun) -> SimpleNamespace:
-    """The filter's per-step fields with one row per step k = 1..K."""
+    """The filter's per-step fields with one row per step k = 1..K.
+
+    The settled P_{k|k-1} and A Sigma_{k-1}, k > m, are not held; their rows
+    repeat the last held ones, from Sigma_{m-1}, which agree with them to
+    rounding level, because Sigma_{m-1} and Sigma_m agree to the settle
+    tolerance.
+    """
     K = run.horizon
     return SimpleNamespace(
         filtered_means=run.filtered_means,

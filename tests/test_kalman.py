@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -18,7 +19,7 @@ from graphit import (
     simulate,
 )
 from graphit.algorithms import EstimatorConfig, graphit, graphit_lockstep
-from graphit.kalman import _double, _steps
+from graphit.kalman import _double, _filter_pass, _filter_passes, _filter_run, _steps
 
 from oracles import dense_filter, dense_smoother, nll_oracle, random_stable_params, reference_filter, smoother_oracle
 
@@ -160,13 +161,26 @@ class TestSteadyState:
         run = kalman_filter(params, simulate(params, K=300, seed=1).observations)
         t = run.steady_step
         assert t is not None and 2 <= t < 100
-        # Each distinct value is held once: t filtered steps, and one prediction more.
+        # Each distinct value is held once, every field in one layout of t steps.
         assert len(run.filtered_covs) == len(run.predictive_covs) == t
-        assert len(run.predicted_covs) == len(run.cross_covs) == t + 1
+        assert len(run.predicted_covs) == len(run.cross_covs) == t
         dense = dense_filter(run)
         assert np.all(dense.filtered_covs[t - 1:] == dense.filtered_covs[t - 1])
         assert np.all(dense.predictive_covs[t - 1:] == dense.predictive_covs[t - 1])
         assert not np.all(dense.filtered_covs[t - 2] == dense.filtered_covs[t - 1])
+
+    def test_a_covariance_pass_gives_the_same_run_each_time(self):
+        # A settled pass, lone or a lockstep member, is read and not extended by the run made from it.
+        params = random_stable_params(np.random.default_rng(6), nx=4, ny=2)
+        ys = simulate(params, K=300, seed=1).observations
+        other = dataclasses.replace(params, A=0.5 * params.A)
+        for cov_pass in (_filter_pass(params, len(ys)), _filter_passes([params, other], len(ys))[0]):
+            assert cov_pass.steady_step is not None
+            runs = [_filter_run(params, ys, cov_pass) for _ in range(2)]
+            smoothers = [rts_smoother(params, run) for run in runs]
+            for first, second in (runs, smoothers):
+                for field in dataclasses.fields(first):
+                    assert np.array_equal(getattr(first, field.name), getattr(second, field.name)), field.name
 
     def test_noiseless_random_walk_never_settles(self):
         # With Q = 0 and A = I the filtered variance decays like 1/k.
