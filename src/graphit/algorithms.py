@@ -34,7 +34,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .em_stats import EMStats, QFactors, compute_stats
 from .exceptions import ConfigError, NonFiniteError, SingularPredictiveCovarianceError, SingularStatisticsError, attempt
 from .kalman import kalman_filter, kalman_filter_lockstep, rts_smoother
-from .model import ModelParams, check_count, check_positive, real_array, spectral_norm
+from .model import ModelParams, check_count, check_positive, check_shape, real_array, spectral_norm
 from .penalties import Potential, penalty_value, weight_matrix
 from .solver import DRConfig, douglas_rachford, douglas_rachford_lockstep
 
@@ -137,6 +137,9 @@ def _mm_loop(observations, params_rest, fits: Sequence[_Fit], minimize) -> list:
     which dispatches faster; the smoother runs per fit. Each fit gets its lone
     bits either way. Each entry is the EstimatorResult of its fit, or its error.
     """
+    n = params_rest.mu0.size  # N_x, as the rest of the model fixes it
+    for fit in fits:
+        check_shape(fit.A, (n, n), "A0")
     outcomes: list = [None] * len(fits)
 
     def going(batch, results: list) -> dict:

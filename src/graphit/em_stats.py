@@ -50,19 +50,31 @@ class EMStats:
 
 
 def compute_stats(smoother: SmootherRun) -> EMStats:
-    """Accumulate Psi, Phi, Delta from a smoother run with K >= 1 steps."""
-    means = smoother.smoothed_means
-    covs, gains = smoother.smoothed_covs, smoother.gains
-    if smoother.horizon < 1:
+    """Accumulate Psi, Phi, Delta from a smoother run with K >= 1 steps.
+
+    A run may be built by hand, so its fields are checked first, each made a
+    float array by `real_array`. The means fix K and initial_cov fixes N_x;
+    the r run lengths must be integers >= 1 that sum to K, and smoothed_covs
+    and gains must hold r matrices of N_x by N_x. The error names the field.
+    """
+    means = real_array(smoother.smoothed_means, "smoothed_means")
+    K = len(means) - 1 if means.ndim else 0
+    if K < 1:
         raise ConfigError("smoother run must cover at least one step")
+    initial_cov = check_square(real_array(smoother.initial_cov, "initial_cov"), "initial_cov")
+    n = len(initial_cov)
+    check_shape(means, (K + 1, n), "smoothed_means")
+    counts = real_array(smoother.run_lengths, "run_lengths")
+    runs = check_shape(counts, (counts.size,), "run_lengths").size
+    if not (counts.sum() == K and counts.min() >= 1 and (counts == np.floor(counts)).all()):
+        raise ConfigError(f"run_lengths must be integers >= 1 that sum to K = {K}, got {smoother.run_lengths}")
+    covs = check_shape(real_array(smoother.smoothed_covs, "smoothed_covs"), (runs, n, n), "smoothed_covs")
+    gains = check_shape(real_array(smoother.gains, "gains"), (runs, n, n), "gains")
 
-    runs, n = covs.shape[0], covs.shape[1]
-    counts = smoother.run_lengths.astype(float)
     cov_sum = (counts @ covs.reshape(runs, -1)).reshape(n, n)
-
     Psi = cov_sum + means[1:].T @ means[1:]
     # Phi's covariances are Sigma_0^s..Sigma_{K-1}^s: Psi's without Sigma_K^s, with Sigma_0^s.
-    Phi = smoother.initial_cov + (cov_sum - covs[-1]) + means[:-1].T @ means[:-1]
+    Phi = initial_cov + (cov_sum - covs[-1]) + means[:-1].T @ means[:-1]
     # sum_r count_r Sigma_r G_r^T as one product over the stacked (run, column) axis.
     weighted = (counts[:, None, None] * covs).transpose(1, 0, 2).reshape(n, -1)
     Delta = weighted @ gains.transpose(0, 2, 1).reshape(-1, n) + means[1:].T @ means[:-1]

@@ -266,13 +266,14 @@ def simulate(params: ModelParams, K: int, seed, *, noiseless: bool = False) -> T
 
 
 def spectral_norm(M: np.ndarray) -> float:
-    """Largest singular value of M, computed exactly from its SVD."""
+    """Largest singular value of M, computed exactly from its SVD; a vector or a number is one row."""
     M = real_array(M, "M")
+    check_shape(M, M.shape[:2], "M")  # at most two axes
     if not np.all(np.isfinite(M)):
         raise ConfigError("spectral_norm requires finite entries")
     if M.size == 0:
         return 0.0
-    return float(np.linalg.norm(M, 2))
+    return float(np.linalg.norm(np.atleast_2d(M), 2))
 
 
 def generate_sparse_A(N_x: int, S: int, target_norm: float = 0.9, seed=0) -> np.ndarray:

@@ -133,6 +133,17 @@ def test_hand_built_repeated_blocks_match_resummation(nx, lengths, shared, seed)
     _assert_matches_resummation(run)
 
 
+def test_a_run_of_lists_gives_the_stats_of_its_arrays():
+    # A hand-built run may hold nested lists; each field is made an array before it is summed.
+    rng = np.random.default_rng(5)
+    params = random_stable_params(rng, nx=3, ny=2)
+    run = rts_smoother(params, kalman_filter(params, simulate(params, K=40, seed=5).observations))
+    listed = SmootherRun(**{field.name: getattr(run, field.name).tolist() for field in dataclasses.fields(run)})
+    got, want = compute_stats(listed), compute_stats(run)
+    for field in dataclasses.fields(want):
+        assert getattr(got, field.name).tobytes() == getattr(want, field.name).tobytes(), field.name
+
+
 def _stats_at(params, observations, A_anchor):
     anchored = dataclasses.replace(params, A=A_anchor)
     run = kalman_filter(anchored, observations)

@@ -39,6 +39,7 @@ from graphit import (
     graphem,
     graphit,
     kalman_filter,
+    mlem,
     objective,
     penalty_value,
     prox_quadratic,
@@ -73,8 +74,16 @@ L1 = Potential("l1", gamma=1.0)
 # The zero-size models: N_x = 0 (every field empty), and N_x = 1 with N_y = 0.
 NO_STATE = ModelParams(A=EMPTY, H=EMPTY, Q=EMPTY, R=EMPTY, mu0=np.zeros(0), Sigma0=EMPTY)
 NO_OUTPUT = ModelParams(A=np.eye(1), H=np.zeros((0, 1)), Q=np.eye(1), R=EMPTY, mu0=np.zeros(1), Sigma0=np.eye(1))
+ONE_STATE = ModelParams(A=np.eye(1), H=np.eye(1), Q=np.eye(1), R=np.eye(1), mu0=np.zeros(1), Sigma0=np.eye(1))
 SCENARIO = dict(scenario_id="errors", n_x=2, n_y=2, s=1, k=5, methods=("graphem",),
                 potentials={"graphem": Potential("l1", gamma=1.0)})
+
+
+def _stats_of(**fields):
+    """compute_stats of a K = 3 run of N_x = 2 in runs of 1 and 2 steps, with `fields` in place."""
+    run = dict(smoothed_means=np.zeros((4, 2)), initial_cov=I2, smoothed_covs=np.array([I2, I2]),
+               gains=np.array([I2, I2]), run_lengths=np.array([1, 2]))
+    return compute_stats(SmootherRun(**{**run, **fields}))
 
 
 def _lockstep_entry(*problem):
@@ -100,6 +109,7 @@ CASES = {
     "generate_sparse_A.S": (lambda: generate_sparse_A(3, 10), "S must be an integer in [1, 9]"),
     "generate_sparse_A.target_norm": (lambda: generate_sparse_A(3, 2, np.inf), "target_norm must be finite and > 0"),
     "spectral_norm.M": (lambda: spectral_norm([[np.nan]]), "spectral_norm requires finite entries"),
+    "spectral_norm.M.ndim": (lambda: spectral_norm(np.ones((2, 2, 2))), "M must have shape (2, 2), got (2, 2, 2)"),
     "edge_confusion.threshold": (lambda: edge_confusion(I2, I2, -1.0), "threshold must be >= 0 and finite"),
     "edge_confusion.shape": (lambda: edge_confusion(I2, I3), "A_hat must have shape (3, 3), got (2, 2)"),
     "rmse.shape": (lambda: rmse(I2, I3), "A_hat must have shape (3, 3), got (2, 2)"),
@@ -115,9 +125,36 @@ CASES = {
         lambda: graphem(OBSERVATIONS, PARAMS, I2, EstimatorConfig(potential=LOG_SUM)),
         "graphem uses the l1 potential only",
     ),
+    **{f"{fit.__name__}.A0.shape": (
+        lambda fit=fit: fit(OBSERVATIONS[:, :1], ONE_STATE, I2, EstimatorConfig(potential=L1)),
+        "A0 must have shape (1, 1), got (2, 2)",
+    ) for fit in (graphit, graphem, mlem)},
     "compute_stats.smoother": (
         lambda: compute_stats(SmootherRun(np.zeros((1, 2)), I2, np.zeros((0, 2, 2)), np.zeros((0, 2, 2)), np.zeros(0))),
         "smoother run must cover at least one step",
+    ),
+    **{f"compute_stats.run_lengths.{name}": (
+        lambda lengths=lengths: _stats_of(run_lengths=lengths),
+        "run_lengths must be integers >= 1 that sum to K = 3",
+    ) for name, lengths in (("long", [1, 5]), ("short", [1, 1]), ("zero", [3, 0]), ("fraction", [1.5, 1.5]),
+                            ("nan", [1.0, np.nan]), ("empty", np.zeros(0)))},
+    "compute_stats.run_lengths.ndim": (
+        lambda: _stats_of(run_lengths=np.array([[1, 2]])), "run_lengths must have shape (2,), got (1, 2)"
+    ),
+    "compute_stats.run_lengths.count": (
+        lambda: _stats_of(run_lengths=[3]), "smoothed_covs must have shape (1, 2, 2), got (2, 2, 2)"
+    ),
+    "compute_stats.smoothed_covs.shape": (
+        lambda: _stats_of(smoothed_covs=np.array([I3, I3])), "smoothed_covs must have shape (2, 2, 2), got (2, 3, 3)"
+    ),
+    "compute_stats.gains.shape": (
+        lambda: _stats_of(gains=np.array([I2])), "gains must have shape (2, 2, 2), got (1, 2, 2)"
+    ),
+    "compute_stats.smoothed_means.shape": (
+        lambda: _stats_of(smoothed_means=np.zeros((4, 3))), "smoothed_means must have shape (4, 2), got (4, 3)"
+    ),
+    "compute_stats.initial_cov.shape": (
+        lambda: _stats_of(initial_cov=np.ones((2, 3))), "initial_cov must be a non-empty square matrix, got shape (2, 3)"
     ),
     "check_graphem": (lambda: check_graphem(Potential("l1", gamma=1.0), LOG_SUM), "graphem uses the l1 potential only"),
     "prox_weighted_l1.Omega": (lambda: prox_weighted_l1(I2, -I2, 1.0), "Omega must be finite and >= 0"),
@@ -289,6 +326,8 @@ ARRAY_OWNERS = {
     "kalman_filter.observations": (lambda v: kalman_filter(PARAMS, v), "observations"),
     "objective.A": (lambda v: objective(v, PARAMS, OBSERVATIONS), "A"),
     "graphit.A0": (lambda v: graphit(OBSERVATIONS, PARAMS, v, EstimatorConfig(potential=L1)), "A0"),
+    **{f"compute_stats.{name}": ((lambda v, name=name: _stats_of(**{name: v})), name)
+       for name in ("smoothed_means", "initial_cov", "smoothed_covs", "gains", "run_lengths")},
     "rmse.A_hat": (lambda v: rmse(v, I2), "A_hat"),
     "rmse.A_true": (lambda v: rmse(I2, v), "A_true"),
     "edge_confusion.A_hat": (lambda v: edge_confusion(v, I2), "A_hat"),

@@ -232,6 +232,10 @@ class TestSpectralNorm:
         with pytest.raises(ValueError):
             spectral_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
+    def test_a_vector_or_a_number_is_one_row(self):
+        assert spectral_norm(-2.0) == 2.0
+        assert spectral_norm([3.0, 4.0]) == pytest.approx(5.0, rel=1e-15)
+
 
 class TestGenerateSparseA:
     def test_support_size_and_norm(self):
