@@ -35,7 +35,7 @@ from .em_stats import EMStats, QFactors, compute_stats
 from .exceptions import ConfigError, NonFiniteError, SingularPredictiveCovarianceError, SingularStatisticsError, attempt
 from .kalman import kalman_filter, kalman_filter_lockstep, rts_smoother
 from .model import ModelParams, check_count, check_positive, check_shape, real_array, spectral_norm
-from .penalties import Potential, penalty_value, weight_matrix
+from .penalties import Potential, check_potential, penalty_value, weight_matrix
 from .solver import DRConfig, douglas_rachford, douglas_rachford_lockstep
 
 
@@ -49,6 +49,8 @@ class EstimatorConfig:
     dr: DRConfig = field(default_factory=DRConfig)
 
     def __post_init__(self):
+        if self.potential is not None:
+            check_potential("potential", self.potential)
         check_positive(self.epsilon, "epsilon")
         check_count(self.max_outer, "max_outer")
 
@@ -73,7 +75,7 @@ def objective(
     The transition matrix stored in `params_rest` is ignored and replaced
     by A.
     """
-    run = kalman_filter(dataclasses.replace(params_rest, A=A), observations)
+    run = kalman_filter(params_rest.with_A(A), observations)
     value = run.neg_log_lik
     if potential is not None:
         value += penalty_value(potential, A)
@@ -129,17 +131,17 @@ class _Fit:
 def _mm_loop(observations, params_rest, fits: Sequence[_Fit], minimize) -> list:
     """The majorization-minimization loop of fits that share their data, in lockstep.
 
-    Outer iteration i runs the E-step of each fit still running, then the
-    M-step `minimize(batch, i)`: for the (stats, fit) of each fit whose E-step
-    succeeded, the next iterate or the error in `FIT_ERRORS` that ends the fit.
-    The filter covariance passes of several fits run stacked
-    (`kalman_filter_lockstep`), and that of one fit by the 2-D `kalman_filter`,
-    which dispatches faster; the smoother runs per fit. Each fit gets its lone
-    bits either way. Each entry is the EstimatorResult of its fit, or its error.
+    Outer iteration i runs the E-step of each fit still running at its model
+    `params_rest.with_A(fit.A)`, then the M-step `minimize(batch, i)`: for the
+    (stats, fit) of each fit whose E-step succeeded, the next iterate or the
+    error in `FIT_ERRORS` that ends the fit. The filter covariance passes of
+    several fits run stacked (`kalman_filter_lockstep`), and that of one fit by
+    the 2-D `kalman_filter`, which dispatches faster; the smoother runs per fit.
+    Each fit gets its lone bits either way. Each entry is the EstimatorResult of
+    its fit, or its error.
     """
-    n = params_rest.mu0.size  # N_x, as the rest of the model fixes it
     for fit in fits:
-        check_shape(fit.A, (n, n), "A0")
+        check_shape(fit.A, params_rest.A.shape, "A0")
     outcomes: list = [None] * len(fits)
 
     def going(batch, results: list) -> dict:
@@ -156,12 +158,11 @@ def _mm_loop(observations, params_rest, fits: Sequence[_Fit], minimize) -> list:
     i = 0
     while live:
         i += 1
-        params = {j: dataclasses.replace(params_rest, A=fits[j].A) for j in live}
-        if len(params) == 1:
-            [p] = params.values()
-            fruns = going(params, [attempt(kalman_filter, p, observations)])
-        else:
+        params = going(live, [attempt(params_rest.with_A, fits[j].A) for j in live])
+        if len(params) > 1:
             fruns = going(params, kalman_filter_lockstep(list(params.values()), observations))
+        else:
+            fruns = going(params, [attempt(kalman_filter, p, observations) for p in params.values()])
         sruns = going(fruns, [attempt(rts_smoother, params[j], frun) for j, frun in fruns.items()])
         batch = {}
         for j, srun in sruns.items():
@@ -222,8 +223,8 @@ def graphit_lockstep(
     """`graphit` from A0 at each potential (cfg's own is ignored), with the fits in lockstep.
 
     Each M-step runs one Douglas-Rachford loop over the fits still running
-    (`douglas_rachford` for one), with Q factored once; a bad Q fails each fit's
-    first filter pass, by name, before any M-step. Each entry is the EstimatorResult
+    (`douglas_rachford` for one), with Q factored once; a singular Q, which the
+    model takes, fails each fit's first M-step. Each entry is the EstimatorResult
     of its fit, bit for bit the one `graphit` returns, or the error `graphit` raises.
     """
     Q = params_rest.Q

@@ -44,7 +44,7 @@ from .export import (
 )
 from .metrics import accuracy, edge_confusion, f1, rmse
 from .model import ModelParams, check_count, generate_sparse_A, simulate
-from .penalties import FAMILIES, SHAPE_FIELD, Potential, emit_penalty_curve
+from .penalties import FAMILIES, SHAPE_FIELD, Potential, check_potential, emit_penalty_curve
 from .scenario import PENALIZED, Scenario, load_scenario
 
 # ---------------------------------------------------------------------------
@@ -193,6 +193,7 @@ def grid_search(scenario: Scenario, method: str, grid: Sequence[Potential], jobs
         raise ConfigError("grid must be nonempty")
     if method not in PENALIZED:
         raise ConfigError(f"grid search needs a penalized method, not {method!r}")
+    check_potential("grid point", *grid)
     if method == "graphem":
         check_graphem(*grid)
 

@@ -68,14 +68,18 @@ backward on a reversed copy of their offsets: by doubling over the stretch
 the constant smoother gain serves, then step by step through the transient
 gains.
 
+Neither pass checks its model: a `ModelParams` is checked when it is built,
+and a fit swaps in each iterate by `ModelParams.with_A`, which checks A alone.
+
 Several models that differ in A only, as the fits of a grid search at one
 outer iteration, can share the filter's covariance loop.
-`kalman_filter_lockstep` makes each step of that pass once over the stack of
-all the models (`_filter_passes`); a model that has settled or failed keeps
-its slice but is no longer factored or recorded. Each stacked step makes the
-2-D step's operations, so each model gets the 2-D bits. The smoother runs per
-model. The caller keeps single fits on the 2-D `kalman_filter`, whose
-`ndarray.dot` calls dispatch faster than stacked `@`.
+`kalman_filter_lockstep` checks the observations once, then makes each step
+of that pass once over the stack of all the models (`_filter_passes`); a
+model that has settled or failed keeps its slice but is no longer factored
+or recorded. Each stacked step makes the 2-D step's operations, so each
+model gets the 2-D bits. The smoother runs per model. The caller keeps
+single fits on the 2-D `kalman_filter`, whose `ndarray.dot` calls dispatch
+faster than stacked `@`.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .exceptions import DimensionMismatchError, NonFiniteError, SingularPredictiveCovarianceError, attempt
-from .model import ModelParams, check_transition, real_array, validate
+from .model import ModelParams, real_array
 
 # Cholesky-diagonal condition estimate beyond which S_k is treated as singular.
 CONDITION_LIMIT = 1e12
@@ -243,13 +247,13 @@ class _FilterPass:
 
 
 def _observations(params: ModelParams, observations) -> np.ndarray:
-    """The observations as a finite (K, N_y) array, once the model has been validated."""
-    validate(params)
+    """The observations as a finite (K, N_y) array; a 1-D array is one column."""
     ys = real_array(observations, "observations")
+    shape = ys.shape
     if ys.ndim == 1:
         ys = ys[:, None]
     if ys.ndim != 2 or ys.shape[0] < 1 or ys.shape[1] != params.ny:
-        raise DimensionMismatchError(f"observations must have shape (K, {params.ny}), got {ys.shape}")
+        raise DimensionMismatchError(f"observations must have shape (K, {params.ny}) with K >= 1, got {shape}")
     if not np.isfinite(ys).all():
         raise NonFiniteError("observations contain NaN or infinite values")
     return ys
@@ -415,20 +419,16 @@ def kalman_filter(params: ModelParams, observations: np.ndarray) -> FilterRun:
 def kalman_filter_lockstep(params: Sequence[ModelParams], observations: np.ndarray) -> list:
     """`kalman_filter` at each of several parameter sets that differ in A only.
 
-    Each set's A gets the checks `validate` makes first (`check_transition`).
-    The other checks of the model and the observations see A only through its
-    shape, so they run once. One covariance pass runs over the sets that
-    passed (`_filter_passes`); the rest runs per set. Each entry is the
+    Each set was checked when it was built (`ModelParams.with_A` for a new A),
+    so the observations are checked once, one covariance pass runs over all
+    the sets (`_filter_passes`), and the rest runs per set. Each entry is the
     FilterRun of its set, or the error in `FIT_ERRORS` that `kalman_filter`
     raises there.
     """
-    errors = [attempt(check_transition, p.A) for p in params]
-    live = [p for p, error in zip(params, errors) if error is None]
-    ys = attempt(_observations, live[0], observations) if live else None
-    if not isinstance(ys, np.ndarray):
-        return [ys if error is None else error for error in errors]
-    passes = iter(_filter_passes(live, ys.shape[0]))
-    return [attempt(_filter_run, p, ys, next(passes)) if error is None else error for p, error in zip(params, errors)]
+    ys = attempt(_observations, params[0], observations)
+    if isinstance(ys, Exception):
+        return [ys] * len(params)
+    return [attempt(_filter_run, p, ys, run) for p, run in zip(params, _filter_passes(params, ys.shape[0]))]
 
 
 def rts_smoother(params: ModelParams, filter_run: FilterRun) -> SmootherRun:

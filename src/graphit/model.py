@@ -12,6 +12,7 @@ reproducible across runs and platforms for a fixed NumPy version.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -26,7 +27,7 @@ SYMMETRY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Parameter set of the linear-Gaussian state-space model.
+    """Parameter set of the linear-Gaussian state-space model, checked by `validate` when it is built.
 
     Attributes
     ----------
@@ -51,9 +52,22 @@ class ModelParams:
     mu0: np.ndarray
     Sigma0: np.ndarray
 
-    def __post_init__(self):  # each field as a float array; `validate` checks shapes and values
+    def __post_init__(self):  # each field as a float array, then the filter's contract, once per model
         for f in fields(self):
             object.__setattr__(self, f.name, real_array(getattr(self, f.name), f.name))
+        validate(self)
+
+    def with_A(self, A) -> ModelParams:
+        """This model with transition matrix A, which must have `self.A`'s shape and be finite.
+
+        Those are the only rules of `validate` that see A's values, and `copy`, like `pickle`,
+        does not rerun `__post_init__`, so no other field is checked again.
+        """
+        A = check_shape(real_array(A, "A"), self.A.shape, "A")
+        _check_finite(A, "A")
+        params = copy.copy(self)
+        object.__setattr__(params, "A", A)
+        return params
 
     @property
     def nx(self) -> int:
@@ -143,12 +157,6 @@ def check_shape(M: np.ndarray, shape: tuple, name: str) -> np.ndarray:
     return M
 
 
-def check_transition(A: np.ndarray) -> None:
-    """`validate`'s first checks, and the only ones that see A's values: A is square and finite."""
-    check_square(A, "A")
-    _check_finite(A, "A")
-
-
 def _check_covariance(M: np.ndarray, name: str) -> None:
     """Require M, of a checked shape, to be symmetric positive semidefinite; the error names it.
 
@@ -199,7 +207,8 @@ def validate(params: ModelParams) -> ModelParams:
         If Q, R or Sigma0 is not symmetric positive semidefinite; the message names it.
     """
     A, H, Q, R, mu0, Sigma0 = params.A, params.H, params.Q, params.R, params.mu0, params.Sigma0
-    check_transition(A)
+    check_square(A, "A")
+    _check_finite(A, "A")
     nx = A.shape[0]
     if H.ndim != 2 or H.shape[1] != nx or H.shape[0] < 1:
         raise DimensionMismatchError(f"H must have shape (N_y, {nx}) with N_y >= 1, got {H.shape}")
@@ -245,7 +254,6 @@ def simulate(params: ModelParams, K: int, seed, *, noiseless: bool = False) -> T
     """
     check_count(K, "K")
     rng = _rng(seed)
-    validate(params)
     nx, A = params.nx, params.A
     states = np.empty((K + 1, nx))
     if noiseless:

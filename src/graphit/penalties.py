@@ -67,6 +67,13 @@ class Potential:
         return {"gamma": self.gamma} if shape is None else {"gamma": self.gamma, shape: getattr(self, shape)}
 
 
+def check_potential(name: str, *values) -> None:
+    """Require each value to be a Potential, not a family name or None; the error names the argument."""
+    for value in values:
+        if not isinstance(value, Potential):
+            raise ConfigError(f"{name} must be a Potential, got {value!r}")
+
+
 def rho(p: Potential, u) -> np.ndarray | float:
     """Potential value at |u|. Vectorized over array input."""
     au = np.abs(real_array(u, "u"))

@@ -16,7 +16,7 @@ from .algorithms import EstimatorConfig, check_graphem
 from .exceptions import ConfigError
 from .metrics import check_threshold
 from .model import check_count, check_positive, check_support, is_integer
-from .penalties import SHAPE_FIELD, Potential
+from .penalties import SHAPE_FIELD, Potential, check_potential
 from .solver import DRConfig
 
 METHODS = ("graphit", "graphem", "mlem")
@@ -58,6 +58,10 @@ class Scenario:
             raise ConfigError(f"master_seed must be an integer >= 0, got {self.master_seed}")
         if not self.methods:
             raise ConfigError("at least one method must be selected")
+        for method in self.potentials:
+            check_potential(f"potentials[{method!r}]", self.potentials[method])
+        for method in self.grids:
+            check_potential(f"grids[{method!r}] point", *self.grids[method])
         if "graphem" in self.potentials:
             check_graphem(self.potentials["graphem"])
         for i, m in enumerate(self.methods):

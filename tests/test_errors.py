@@ -71,9 +71,6 @@ STATS = EMStats(Psi=I2, Phi=I2, Delta=I2)
 OBSERVATIONS = np.zeros((5, 2))
 LOG_SUM = Potential("log-sum", gamma=1.0, lam=0.1)
 L1 = Potential("l1", gamma=1.0)
-# The zero-size models: N_x = 0 (every field empty), and N_x = 1 with N_y = 0.
-NO_STATE = ModelParams(A=EMPTY, H=EMPTY, Q=EMPTY, R=EMPTY, mu0=np.zeros(0), Sigma0=EMPTY)
-NO_OUTPUT = ModelParams(A=np.eye(1), H=np.zeros((0, 1)), Q=np.eye(1), R=EMPTY, mu0=np.zeros(1), Sigma0=np.eye(1))
 ONE_STATE = ModelParams(A=np.eye(1), H=np.eye(1), Q=np.eye(1), R=np.eye(1), mu0=np.zeros(1), Sigma0=np.eye(1))
 SCENARIO = dict(scenario_id="errors", n_x=2, n_y=2, s=1, k=5, methods=("graphem",),
                 potentials={"graphem": Potential("l1", gamma=1.0)})
@@ -205,12 +202,36 @@ CASES = {
     "surrogate_value.Omega.shape": (
         lambda: surrogate_value(I2, STATS, I2, np.ones((3, 3))), "Omega must have shape (2, 2), got (3, 3)"
     ),
-    "kalman_filter.no_state": (
-        lambda: kalman_filter(NO_STATE, np.zeros((5, 0))), "A must be a non-empty square matrix, got shape (0, 0)"
+    # The zero-size models, rejected when built: N_x = 0 (every field empty), and N_x = 1 with N_y = 0.
+    "ModelParams.no_state": (
+        lambda: ModelParams(A=EMPTY, H=EMPTY, Q=EMPTY, R=EMPTY, mu0=np.zeros(0), Sigma0=EMPTY),
+        "A must be a non-empty square matrix, got shape (0, 0)",
     ),
-    "kalman_filter.no_output": (
-        lambda: kalman_filter(NO_OUTPUT, np.zeros((5, 0))), "H must have shape (N_y, 1) with N_y >= 1, got (0, 1)"
+    "ModelParams.no_output": (
+        lambda: ModelParams(A=np.eye(1), H=np.zeros((0, 1)), Q=np.eye(1), R=EMPTY, mu0=np.zeros(1), Sigma0=np.eye(1)),
+        "H must have shape (N_y, 1) with N_y >= 1, got (0, 1)",
     ),
+    "ModelParams.Q.shape": (
+        lambda: ModelParams(**{**PARAMS.__dict__, "Q": np.ones((2, 3))}), "Q must have shape (2, 2), got (2, 3)"
+    ),
+    "ModelParams.with_A.shape": (lambda: PARAMS.with_A(I3), "A must have shape (2, 2), got (3, 3)"),
+    **{f"kalman_filter.observations.{name}": (
+        lambda ys=ys: kalman_filter(PARAMS, ys), f"observations must have shape (K, 2) with K >= 1, got {shape}",
+    ) for name, ys, shape in (("column", np.zeros(5), "(5,)"), ("empty", np.zeros(0), "(0,)"),
+                              ("no_steps", np.zeros((0, 2)), "(0, 2)"), ("3-D", np.zeros((5, 2, 1)), "(5, 2, 1)"))},
+    "EstimatorConfig.potential": (lambda: EstimatorConfig(potential="l1"), "potential must be a Potential, got 'l1'"),
+    "Scenario.potentials": (
+        lambda: Scenario(**{**SCENARIO, "potentials": {"graphem": "l1"}}),
+        "potentials['graphem'] must be a Potential, got 'l1'",
+    ),
+    "Scenario.grids": (
+        lambda: Scenario(**SCENARIO, grids={"graphem": (L1, "l1")}),
+        "grids['graphem'] point must be a Potential, got 'l1'",
+    ),
+    **{f"grid_search.grid.{point}": (
+        lambda point=point: grid_search(Scenario(**SCENARIO), "graphit", [point]),
+        f"grid point must be a Potential, got {point!r}",
+    ) for point in ("l1", None)},
     "grid_search.jobs": (
         lambda: grid_search(Scenario(**SCENARIO), "graphem", [Potential("l1", gamma=1.0)], jobs=0), "jobs must be >= 1"
     ),
@@ -260,6 +281,7 @@ OWNERS = {
     "edge_confusion.threshold": (lambda v: edge_confusion(I2, I2, v), "threshold must"),
     "EstimatorConfig.epsilon": (lambda v: EstimatorConfig(epsilon=v), "epsilon must"),
     "EstimatorConfig.max_outer": (lambda v: EstimatorConfig(max_outer=v), "max_outer must"),
+    "EstimatorConfig.potential": (lambda v: EstimatorConfig(potential=v), "potential must"),
     **{f"DRConfig.{name}": ((lambda v, name=name: DRConfig(**{name: v})), f"{name} must")
        for name in ("step", "relaxation", "tol", "max_iter")},
     "Potential.gamma": (lambda v: Potential("l1", gamma=v), "gamma must"),
@@ -323,6 +345,7 @@ ARRAY_OWNERS = {
        for name in ("A", "H", "Q", "R", "mu0", "Sigma0")},
     **{f"EMStats.{name}": ((lambda v, name=name: EMStats(**{**STATS.__dict__, name: v})), name)
        for name in ("Psi", "Phi", "Delta")},
+    "ModelParams.with_A": (PARAMS.with_A, "A"),
     "kalman_filter.observations": (lambda v: kalman_filter(PARAMS, v), "observations"),
     "objective.A": (lambda v: objective(v, PARAMS, OBSERVATIONS), "A"),
     "graphit.A0": (lambda v: graphit(OBSERVATIONS, PARAMS, v, EstimatorConfig(potential=L1)), "A0"),
@@ -408,3 +431,26 @@ def test_only_the_shape_owners_raise_a_dimension_mismatch():
         ("model.py", "validate"),
         ("kalman.py", "_observations"),
     }
+
+
+def _callers(path: Path, name: str) -> set:
+    """(module, qualified name) of each function in `path` that calls `name`, as a bare name or an attribute."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                called = child.func.id if isinstance(child.func, ast.Name) else getattr(child.func, "attr", None)
+                if called == name:
+                    found.add((path.name, ".".join(scope)))
+            inner = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, [*scope, child.name] if inner else scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), [])
+    return found
+
+
+def test_only_a_model_being_built_calls_validate():
+    """A model is checked once, when it is built; a function that takes one does not check it again."""
+    found = set().union(*(_callers(path, "validate") for path in SRC.glob("*.py")))
+    assert found == {("model.py", "ModelParams.__post_init__")}

@@ -100,13 +100,13 @@ class TestKalmanFilter:
         assert exc.value.step == 1
 
     def test_rejects_wrong_observation_width(self):
-        """Observations of the wrong rank or shape are a typed error; each lockstep fit gets it as its entry."""
+        """Observations of the wrong rank or shape are a typed error naming the shape passed; each lockstep fit too."""
         params, A0 = _scalar_params(Q=0.1), np.array([[0.5]])
         cfg = EstimatorConfig(potential=Potential("l1", gamma=1.0))
         points = [Potential("l1", gamma=g) for g in (1.0, 2.0)]
         # wrong width, rank 3, rank 0, no rows as a matrix and as a vector
-        match = r"^observations must have shape \(K, 1\), got "
         for observations in (np.ones((4, 2)), np.ones((4, 1, 1)), np.array(1.0), np.ones((0, 1)), np.ones(0)):
+            match = f"^{re.escape(f'observations must have shape (K, 1) with K >= 1, got {observations.shape}')}$"
             with pytest.raises(DimensionMismatchError, match=match):
                 kalman_filter(params, observations)
             with pytest.raises(DimensionMismatchError, match=match):

@@ -21,9 +21,9 @@ import graphit.kalman as kalman
 from graphit import (
     FAMILIES,
     ConfigError,
-    DimensionMismatchError,
     ModelParams,
     NonFiniteError,
+    NotPositiveDefiniteError,
     Potential,
     SingularPredictiveCovarianceError,
 )
@@ -130,25 +130,30 @@ def test_lockstep_filter_matches_lone_passes(n_x, n_y, K, batch, q_scale, seed):
 @pytest.mark.parametrize("bad_sets", [(0,), (1,), (0, 2), (0, 1, 2)], ids=str)
 @pytest.mark.parametrize("shared", [None, "Q", "observations"])
 def test_lockstep_filter_checks_each_transition_matrix(bad_sets, shared):
-    """A NaN in one set's A is that set's error, as the lone filter names it; the other sets go on."""
+    """An A whose filter fails, overflowing at step 1, is that set's error, as the lone filter's; the others go on.
+
+    A zero Q, which a model takes, makes covariances that never settle; a NaN
+    observation is every set's error. A NaN A never reaches the filter:
+    `with_A` rejects it, and `test_graphit_lockstep_matches_lone_fits` fails
+    iterates there.
+    """
     rng = np.random.default_rng(7)
-    base = random_model(rng, 3, 2, 1.0)
+    base = random_model(rng, 3, 2, 0.0 if shared == "Q" else 1.0)
     observations = rng.standard_normal((30, 2))
-    if shared == "Q":
-        base = dataclasses.replace(base, Q=np.where(np.eye(3) == 1, np.inf, base.Q))
-    elif shared == "observations":
+    if shared == "observations":
         observations[4, 1] = np.nan
-    params = []
-    for j, A in enumerate(transition_matrices(rng, 3, 3)):
-        if j in bad_sets:
-            A[1, 2] = np.nan
-        params.append(dataclasses.replace(base, A=A))
+    As = transition_matrices(rng, 3, 3)
+    params = [base.with_A(1e160 * A if j in bad_sets else A) for j, A in enumerate(As)]
     with np.errstate(over="ignore", invalid="ignore"):
         filters = kalman.kalman_filter_lockstep(params, observations)
         for run, p in zip(filters, params):
             lone = attempt(kalman.kalman_filter, p, observations)
             assert outcome_bytes(run, FILTER_FIELDS) == outcome_bytes(lone, FILTER_FIELDS)
-    assert str(filters[bad_sets[0]]) == "A contains NaN or infinite values"
+    failed = [j for j, run in enumerate(filters) if isinstance(run, Exception)]
+    if shared == "observations":
+        assert failed == [0, 1, 2] and str(filters[0]) == "observations contain NaN or infinite values"
+    else:
+        assert failed == list(bad_sets) and str(filters[bad_sets[0]]) == "non-finite covariance at step 1"
 
 
 def test_finished_points_ride_the_filter_pass_without_warnings():
@@ -216,24 +221,23 @@ def dr_batches(draw):
 REPORT_FIELDS = ("minimizer", "iterations", "final_residual", "converged", "fell_back")
 
 
-@pytest.mark.parametrize(
-    "Q, error, message",
-    [
-        (np.array([[0.1, 0.0], [0.0, np.nan]]), NonFiniteError, "Q contains NaN or infinite values"),
-        (np.ones((2, 3)), DimensionMismatchError, "Q must have shape (2, 2), got (2, 3)"),
-    ],
-    ids=["nan", "not-square"],
-)
-def test_bad_q_fails_each_fit_in_its_filter(Q, error, message):
-    """Q is factored before the first outer iteration, yet a bad Q is each fit's filter error, naming Q."""
-    params = ModelParams(A=0.5 * np.eye(2), H=np.eye(2), Q=Q, R=0.1 * np.eye(2), mu0=np.zeros(2), Sigma0=0.1 * np.eye(2))
+def test_singular_q_fails_each_fit_at_its_first_m_step():
+    """The filter takes a singular Q, but the M-step cannot factor it: each fit's error, lone or in lockstep, names Q.
+
+    A Q that the filter rejects fails the model itself, when it is built
+    (`TestValidate`), so no fit starts.
+    """
+    params = ModelParams(A=0.5 * np.eye(2), H=np.eye(2), Q=np.diag([0.1, 0.0]), R=0.1 * np.eye(2),
+                         mu0=np.zeros(2), Sigma0=0.1 * np.eye(2))
     observations = np.random.default_rng(0).standard_normal((20, 2))
-    points = [Potential("l1", gamma=1.0), Potential("log-sum", gamma=3.0, lam=0.1), Potential("mcp", gamma=3.0, lam=0.1)]
+    points = [Potential("l1", gamma=1.0), Potential("log-sum", gamma=3.0, lam=0.1),
+              Potential("mcp", gamma=3.0, lam=0.1)]
     cfg = EstimatorConfig(potential=points[0])
-    with pytest.raises(error) as lone:
+    with pytest.raises(NotPositiveDefiniteError) as lone:
         graphit(observations, params, default_init(2), cfg)
     outcomes = [lone.value, *graphit_lockstep(observations, params, default_init(2), cfg, points)]
-    assert [(type(err), str(err)) for err in outcomes] == [(error, message)] * 4
+    message = "Q is not positive definite, which the M-step needs"
+    assert [(type(err), str(err)) for err in outcomes] == [(NotPositiveDefiniteError, message)] * 4
 
 
 @given(dr_batches())
@@ -280,7 +284,7 @@ def potentials(draw, count):
 @settings(max_examples=20)
 @given(
     n_x=st.integers(2, 8), K=st.integers(10, 80), seed=seeds, data=st.data(),
-    stage=st.sampled_from(["_filter_run", "rts_smoother"]),
+    stage=st.sampled_from(["with_A", "_filter_run", "rts_smoother"]),
     error=st.sampled_from([NonFiniteError("injected"), SingularPredictiveCovarianceError(3)]),
 )
 def test_graphit_lockstep_matches_lone_fits(n_x, K, seed, data, stage, error):
@@ -290,8 +294,9 @@ def test_graphit_lockstep_matches_lone_fits(n_x, K, seed, data, stage, error):
     `rts_smoother` through `graphit.algorithms` once for each fit whose filter
     succeeded, at the iterate its lone fit smooths there. Some points are made
     to fail in the E-step at a drawn outer iteration (or in the final
-    objective), by an error raised at one of their iterates, in the filter or
-    in the smoother; each gets the error of its lone fit, and the others go on.
+    objective), at one of their iterates: `with_A` gets it with a NaN in
+    place, which it rejects, or the filter or the smoother raises the drawn
+    error there. Each gets the error of its lone fit, and the others go on.
     """
     A_true = generate_sparse_A(n_x, n_x, 0.9, seed)
     params = ModelParams(A=A_true, H=np.eye(n_x), Q=0.01 * np.eye(n_x), R=0.01 * np.eye(n_x),
@@ -366,15 +371,22 @@ def test_graphit_lockstep_matches_lone_fits(n_x, K, seed, data, stage, error):
             f = data.draw(st.integers(2, result.outer_iterations + 1))
             failing_at.add(result.iterates[f - 2].tobytes())
 
-    filter_run = kalman._filter_run
+    filter_run, with_A = kalman._filter_run, ModelParams.with_A
 
     def failing_filter(p, *args):
         if stage == "_filter_run" and p.A.tobytes() in failing_at:
             raise error
         return filter_run(p, *args)
 
+    def failing_with_A(p, A):
+        if stage == "with_A" and A.tobytes() in failing_at:
+            A = A.copy()
+            A[0, 0] = np.nan
+        return with_A(p, A)
+
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(kalman, "_filter_run", failing_filter)
+        monkeypatch.setattr(ModelParams, "with_A", failing_with_A)
         lone = lone_fits(monkeypatch)
         results, rounds, smoothed = lockstep_fits(monkeypatch)
 

@@ -1,23 +1,36 @@
+import copy
+import dataclasses
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import graphit.model as model
 from graphit import (
     DimensionMismatchError,
     ModelParams,
     NonFiniteError,
     NotPositiveDefiniteError,
+    Potential,
     generate_sparse_A,
     kalman_filter,
     simulate,
     spectral_norm,
     validate,
 )
-from graphit.algorithms import default_init
+from graphit.algorithms import EstimatorConfig, default_init, graphit, objective
+from graphit.cli import _realization_data, grid_search
+from graphit.exceptions import attempt
+from graphit.kalman import kalman_filter_lockstep
 from graphit.model import _check_covariance
+from graphit.scenario import load_scenario
 
-from oracles import random_spd, reference_simulate
+from oracles import random_spd, random_stable_params, reference_simulate
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _identity_params(nx=2, ny=2):
@@ -43,31 +56,22 @@ class TestValidate:
         assert validate(params) is params
 
     def test_negative_eigenvalue_rejected(self):
-        """An indefinite covariance is not semidefinite, whether validated alone or before sampling."""
+        """An indefinite covariance is not semidefinite: the model is rejected when built, directly or by `replace`."""
         params = _identity_params()
-        bad = ModelParams(**{**params.__dict__, "Q": np.diag([1.0, -1.0])})
-        for call in (validate, lambda p: simulate(p, K=5, seed=0)):
+        Q = np.diag([1.0, -1.0])
+        for build in (lambda: ModelParams(**{**params.__dict__, "Q": Q}), lambda: dataclasses.replace(params, Q=Q)):
             with pytest.raises(NotPositiveDefiniteError, match="^Q is not positive semidefinite"):
-                call(bad)
+                build()
 
     def test_dimension_mismatch_names_pair(self):
-        params = ModelParams(
-            A=np.eye(3),
-            H=np.zeros((3, 2)),
-            Q=np.eye(3),
-            R=np.eye(3),
-            mu0=np.zeros(3),
-            Sigma0=np.eye(3),
-        )
         with pytest.raises(DimensionMismatchError, match="H"):
-            validate(params)
+            ModelParams(A=np.eye(3), H=np.zeros((3, 2)), Q=np.eye(3), R=np.eye(3), mu0=np.zeros(3), Sigma0=np.eye(3))
 
     def test_asymmetric_covariance_rejected(self):
         params = _identity_params()
         Q = np.array([[1.0, 1e-6], [0.0, 1.0]])
-        bad = ModelParams(**{**params.__dict__, "Q": Q})
         with pytest.raises(NotPositiveDefiniteError):
-            validate(bad)
+            ModelParams(**{**params.__dict__, "Q": Q})
 
     @pytest.mark.parametrize("name", ["A", "H", "mu0", "Q", "R", "Sigma0"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -82,6 +86,7 @@ class TestValidate:
         ids=["validate", "validate-semidefinite", "simulate", "kalman-filter"],
     )
     def test_non_finite_covariance_named(self, name, value, check):
+        """The model is rejected when built, so `check` never sees it."""
         params = _identity_params()
         M = getattr(params, name).copy()
         M.flat[0] = value
@@ -133,6 +138,85 @@ class TestModelParams:
     def test_keeps_a_float_array_itself(self):
         A = 0.5 * np.eye(2)
         assert ModelParams(**{**_identity_params().__dict__, "A": A}).A is A
+
+
+def _count_covariance_checks(monkeypatch) -> list:
+    """The names of the covariances that `validate` checks from now on, one per check."""
+    calls = []
+    check = model._check_covariance
+    monkeypatch.setattr(model, "_check_covariance", lambda M, name: calls.append(name) or check(M, name))
+    return calls
+
+
+class TestWithA:
+    def test_rejects_a_wrong_shape_or_a_non_finite_entry_by_name(self):
+        params = _identity_params()
+        before = params.A.copy()
+        with pytest.raises(DimensionMismatchError, match=r"^A must have shape \(2, 2\), got \(3, 3\)$"):
+            params.with_A(np.eye(3))
+        for value in (np.nan, np.inf):
+            with pytest.raises(NonFiniteError, match="^A contains NaN or infinite values$"):
+                params.with_A(np.array([[0.5, value], [0.0, 0.5]]))
+        assert params.A.tobytes() == before.tobytes()
+
+    def test_swaps_a_only_and_runs_no_covariance_check(self, monkeypatch):
+        """The copy holds the new A and the other fields themselves; the original keeps its A."""
+        params = _identity_params()
+        A = np.array([[0.3, 0.1], [0.0, 0.2]])
+        calls = _count_covariance_checks(monkeypatch)
+        swapped = params.with_A(A)
+        copy.copy(params)
+        pickle.loads(pickle.dumps(params))
+        assert calls == []
+        assert swapped.A is A and params.A.tobytes() == (0.5 * np.eye(2)).tobytes()
+        assert all(getattr(swapped, name) is getattr(params, name) for name in ("H", "Q", "R", "mu0", "Sigma0"))
+        assert params.with_A([[0, 1], [1, 0]]).A.dtype == np.float64
+
+    @given(seed=st.integers(0, 2**32 - 1), n_x=st.integers(1, 6), n_y=st.integers(1, 6))
+    def test_filter_at_with_a_has_the_bytes_of_replace(self, seed, n_x, n_y):
+        rng = np.random.default_rng(seed)
+        params = random_stable_params(rng, n_x, n_y)
+        A = 0.9 * rng.standard_normal((n_x, n_x)) / np.sqrt(n_x)
+        ys = rng.standard_normal((20, n_y))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = attempt(kalman_filter, params.with_A(A), ys)
+            want = attempt(kalman_filter, dataclasses.replace(params, A=A), ys)
+        fields = ("filtered_means", "filtered_covs", "residuals", "predictive_covs", "neg_log_lik", "steady_step")
+
+        def outcome(run):
+            if isinstance(run, Exception):
+                return type(run), str(run)
+            return [np.asarray(getattr(run, name)).tobytes() for name in fields]
+
+        assert outcome(got) == outcome(want)
+
+
+class TestCheckedOnce:
+    """A model's covariances are checked when it is built, and by nothing that takes it."""
+
+    def test_a_built_model_is_checked_by_no_function_that_takes_it(self, monkeypatch):
+        params = _identity_params()
+        ys = simulate(params, K=30, seed=0).observations
+        calls = _count_covariance_checks(monkeypatch)
+        kalman_filter(params, ys)
+        kalman_filter_lockstep([params, params.with_A(0.4 * np.eye(2))], ys)
+        simulate(params, K=5, seed=1)
+        objective(0.3 * np.eye(2), params, ys, Potential("l1", gamma=1.0))
+        assert calls == []
+        ModelParams(**params.__dict__)
+        assert calls == ["Q", "R", "Sigma0"]
+
+    def test_a_lone_fit_and_a_grid_check_their_model_once(self, monkeypatch):
+        """A table2_8_4 graphit fit checks nothing once its model exists; quick's graphit grid checks its one model."""
+        table = load_scenario(CONFIGS / "table2_8_4.cfg")
+        _, params, trajectory = _realization_data(table, 0)
+        cfg = EstimatorConfig(table.potentials["graphit"], table.epsilon, table.max_outer, table.dr)
+        calls = _count_covariance_checks(monkeypatch)
+        result = graphit(trajectory.observations, params, default_init(table.n_x), cfg)
+        assert result.outer_iterations > 1 and calls == []
+        quick = load_scenario(CONFIGS / "quick.cfg")
+        grid_search(quick, "graphit", quick.grids["graphit"])
+        assert calls == ["Q", "R", "Sigma0"]
 
 
 class TestSimulate:
