@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
+from ._lapack import dpotrf, dpotrs
 from .em_stats import EMStats, QFactors, compute_stats
 from .exceptions import ConfigError, NonFiniteError, SingularPredictiveCovarianceError, SingularStatisticsError, attempt
 from .kalman import kalman_filter, kalman_filter_lockstep, rts_smoother

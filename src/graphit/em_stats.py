@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
+from ._lapack import dpotrf, dpotrs
 from .exceptions import ConfigError, NonFiniteError, NotPositiveDefiniteError
 from .kalman import SmootherRun
 from .model import check_shape, check_square, real_array

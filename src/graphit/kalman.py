@@ -89,8 +89,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
+from ._lapack import dpotrf, dpotrs, dtrtri
 from .exceptions import DimensionMismatchError, NonFiniteError, SingularPredictiveCovarianceError, attempt
 from .model import ModelParams, real_array
 

@@ -18,8 +18,8 @@ import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf
 
+from ._lapack import dpotrf
 from .exceptions import ConfigError, DimensionMismatchError, NonFiniteError, NotPositiveDefiniteError
 
 SYMMETRY_TOL = 1e-12

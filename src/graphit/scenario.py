@@ -58,12 +58,19 @@ class Scenario:
             raise ConfigError(f"master_seed must be an integer >= 0, got {self.master_seed}")
         if not self.methods:
             raise ConfigError("at least one method must be selected")
+        for table in ("potentials", "grids"):
+            for method in getattr(self, table):
+                if method not in PENALIZED:
+                    raise ConfigError(
+                        f"{table}[{method!r}] is not a method that takes a potential; choose from {PENALIZED}"
+                    )
         for method in self.potentials:
             check_potential(f"potentials[{method!r}]", self.potentials[method])
         for method in self.grids:
             check_potential(f"grids[{method!r}] point", *self.grids[method])
         if "graphem" in self.potentials:
             check_graphem(self.potentials["graphem"])
+        check_graphem(*self.grids.get("graphem", ()))
         for i, m in enumerate(self.methods):
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; choose from {METHODS}")

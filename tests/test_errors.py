@@ -228,6 +228,16 @@ CASES = {
         lambda: Scenario(**SCENARIO, grids={"graphem": (L1, "l1")}),
         "grids['graphem'] point must be a Potential, got 'l1'",
     ),
+    "Scenario.potentials.key": (
+        lambda: Scenario(**{**SCENARIO, "methods": ("mlem",), "potentials": {"grahpit": L1}}),
+        "potentials['grahpit'] is not a method that takes a potential",
+    ),
+    "Scenario.grids.key": (
+        lambda: Scenario(**SCENARIO, grids={"mlem": (L1,)}), "grids['mlem'] is not a method that takes a potential"
+    ),
+    "Scenario.grids.graphem": (
+        lambda: Scenario(**SCENARIO, grids={"graphem": (L1, LOG_SUM)}), "graphem uses the l1 potential only"
+    ),
     **{f"grid_search.grid.{point}": (
         lambda point=point: grid_search(Scenario(**SCENARIO), "graphit", [point]),
         f"grid point must be a Potential, got {point!r}",
