@@ -3,7 +3,8 @@
 The package provides exact Kalman/RTS inference, a family of non-convex
 sparsity potentials with their reweighted-l1 surrogates, a Douglas-Rachford
 inner solver, three estimators (graphit, graphem, mlem), recovery metrics,
-and a reproducible Monte-Carlo benchmark harness with a CLI.
+and a reproducible Monte-Carlo benchmark harness with a CLI, both in
+`graphit.cli`, which `import graphit` leaves unloaded.
 """
 
 from .algorithms import (
@@ -89,7 +90,6 @@ __all__ = [
     "generate_sparse_A",
     "graphem",
     "graphit",
-    "grid_search",
     "kalman_filter",
     "load_scenario",
     "mlem",
@@ -102,7 +102,6 @@ __all__ = [
     "rho_prime",
     "rmse",
     "rts_smoother",
-    "run_benchmark",
     "simulate",
     "spectral_norm",
     "surrogate_value",
@@ -112,14 +111,3 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-# The harness lives in graphit.cli, imported on first use so that
-# `python -m graphit.cli` finds that module not yet imported.
-_HARNESS = ("grid_search", "run_benchmark")
-
-
-def __getattr__(name):
-    if name in _HARNESS:
-        from . import cli
-
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

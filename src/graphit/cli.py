@@ -38,7 +38,7 @@ from typing import TextIO
 import numpy as np
 
 from .algorithms import EstimatorConfig, check_graphem, default_init, graphem, graphit, graphit_lockstep, mlem
-from .exceptions import FIT_ERRORS, ConfigError, GraphitError
+from .exceptions import ConfigError, GraphitError, attempt
 from .export import (
     BenchmarkRow, _hyper_string, _point_string, export_csv, export_curve_csv, export_dot, export_grid_csv,
 )
@@ -84,19 +84,14 @@ def _fit(method: str, scenario: Scenario, params: ModelParams, observations, A0,
     """`method` fitted from A0 at each potential (None for mlem): its EstimatorResult or the error that ended it.
 
     Several potentials are fitted in lockstep by `graphit_lockstep` (graphem is
-    graphit with an l1 potential), which returns each fit's error. A single fit
-    runs through its estimator and raises its error; each estimator is looked
-    up here at call time, not in a table built at import.
+    graphit with an l1 potential), and a single one by its estimator; each
+    estimator is looked up here at call time, not in a table built at import.
     """
     cfg = EstimatorConfig(epsilon=scenario.epsilon, max_outer=scenario.max_outer, dr=scenario.dr)
     if len(potentials) > 1:
         return graphit_lockstep(observations, params, A0, cfg, potentials)
-    cfg = dataclasses.replace(cfg, potential=potentials[0])
-    if method == "graphit":
-        return [graphit(observations, params, A0, cfg)]
-    if method == "graphem":
-        return [graphem(observations, params, A0, cfg)]
-    return [mlem(observations, params, A0, cfg)]
+    estimator = {"graphit": graphit, "graphem": graphem, "mlem": mlem}[method]
+    return [attempt(estimator, observations, params, A0, dataclasses.replace(cfg, potential=potentials[0]))]
 
 
 def _score(scenario: Scenario, method: str, potentials: Sequence, data: tuple, A0: np.ndarray) -> list[dict]:
@@ -107,10 +102,7 @@ def _score(scenario: Scenario, method: str, potentials: Sequence, data: tuple, A
     """
     A_true, params, trajectory = data
     start = time.perf_counter()
-    try:
-        results = _fit(method, scenario, params, trajectory.observations, A0, potentials)
-    except FIT_ERRORS as err:
-        results = [err] * len(potentials)
+    results = _fit(method, scenario, params, trajectory.observations, A0, potentials)
     elapsed = time.perf_counter() - start
     scores = []
     for result in results:

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphit
 import graphit.cli as cli
 from graphit import ConfigError, NonFiniteError, Potential, SingularStatisticsError, Trajectory
 from graphit.cli import _run_realization, grid_search, main, run_benchmark
@@ -843,8 +844,8 @@ class TestMainCommand:
             assert not (tmp_path / "o").exists()
 
     def test_grid_where_every_fit_fails_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
-        def failing_fit(*args):
-            raise NonFiniteError("negative log-likelihood is not finite")
+        def failing_fit(method, scenario, params, observations, A0, potentials):
+            return [NonFiniteError("negative log-likelihood is not finite")] * len(potentials)
 
         monkeypatch.setattr(cli, "_fit", failing_fit)
         cfg = tmp_path / "quick.cfg"
@@ -865,8 +866,8 @@ class TestMainCommand:
     )
     def test_bench_where_every_fit_fails_leaves_no_new_directory(self, tmp_path, capsys, monkeypatch, out_dir, existed):
         """Every directory the run created is removed, ancestors too; one that existed before is kept."""
-        def failing_fit(*args):
-            raise NonFiniteError("negative log-likelihood is not finite")
+        def failing_fit(method, scenario, params, observations, A0, potentials):
+            return [NonFiniteError("negative log-likelihood is not finite")] * len(potentials)
 
         monkeypatch.setattr(cli, "_fit", failing_fit)
         cfg = tmp_path / "quick.cfg"
@@ -989,3 +990,35 @@ def test_python_dash_m_graphit(tmp_path):
     assert missing.returncode == 1
     assert missing.stderr.startswith(b"configuration error: ")
     assert b"Traceback" not in missing.stderr
+
+
+def test_the_harness_lives_in_graphit_cli_alone():
+    """The package root does not re-export the harness, and importing it leaves `graphit.cli` unloaded."""
+    assert not hasattr(graphit, "grid_search") and not hasattr(graphit, "run_benchmark")
+    assert not {"grid_search", "run_benchmark"} & set(graphit.__all__)
+    src = str(Path(cli.__file__).parents[1])
+    code = "import sys, graphit; print('graphit.cli' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, b"False\n", b"")
+
+
+@pytest.mark.parametrize(
+    "method, potentials",
+    [("mlem", [None]), ("graphit", [l1(1.0)]), ("graphem", [l1(1.0)]), ("graphem", [l1(1.0), l1(2.0)])],
+    ids=["mlem", "graphit", "graphem", "lockstep"],
+)
+def test_fit_returns_each_error_as_its_entry(monkeypatch, method, potentials):
+    """A lone fit reports its error as a lockstep batch does: as its entry, never raised."""
+    error = SingularStatisticsError(1)
+
+    def failing(*args):
+        raise error
+
+    for name in ("graphit", "graphem", "mlem"):
+        monkeypatch.setattr(cli, name, failing)
+    monkeypatch.setattr(cli, "graphit_lockstep", lambda *args: [error] * len(args[-1]))
+    scenario = small_scenario()
+    A_true, params, trajectory = cli._realization_data(scenario, 0)
+    fits = cli._fit(method, scenario, params, trajectory.observations, np.zeros_like(A_true), potentials)
+    assert fits == [error] * len(potentials)
