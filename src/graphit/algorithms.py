@@ -53,6 +53,8 @@ class EstimatorConfig:
             check_potential("potential", self.potential)
         check_positive(self.epsilon, "epsilon")
         check_count(self.max_outer, "max_outer")
+        if not isinstance(self.dr, DRConfig):
+            raise ConfigError(f"dr must be a DRConfig, got {self.dr!r}")
 
 
 @dataclass(frozen=True)

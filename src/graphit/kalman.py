@@ -70,6 +70,7 @@ gains.
 
 Neither pass checks its model: a `ModelParams` is checked when it is built,
 and a fit swaps in each iterate by `ModelParams.with_A`, which checks A alone.
+The smoother checks only that the filter run's shapes fit the model.
 
 Several models that differ in A only, as the fits of a grid search at one
 outer iteration, can share the filter's covariance loop.
@@ -91,8 +92,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._lapack import dpotrf, dpotrs, dtrtri
-from .exceptions import DimensionMismatchError, NonFiniteError, SingularPredictiveCovarianceError, attempt
-from .model import ModelParams, real_array
+from .exceptions import ConfigError, DimensionMismatchError, NonFiniteError, SingularPredictiveCovarianceError, attempt
+from .model import ModelParams, check_shape, real_array
 
 # Cholesky-diagonal condition estimate beyond which S_k is treated as singular.
 CONDITION_LIMIT = 1e12
@@ -443,11 +444,18 @@ def rts_smoother(params: ModelParams, filter_run: FilterRun) -> SmootherRun:
     A Sigma_k are the filter's for the steps it lists; the settled pair that
     serves every later k is computed here from the last filtered covariance.
     A singular A Sigma_k A^T + Q is reported at the 1-based step k + 1 it
-    predicts, the earliest such step first.
+    predicts, the earliest such step first. A run of another model, whose
+    means or covariance stacks do not fit `params`, is a ConfigError naming
+    the field.
     """
-    K, A = filter_run.horizon, params.A
-    fmeans, fcovs = filter_run.filtered_means, filter_run.filtered_covs
-    preds, crosses = filter_run.predicted_covs, filter_run.cross_covs
+    K, A, nx = filter_run.horizon, params.A, params.nx
+    fmeans = check_shape(filter_run.filtered_means, (K, nx), "filtered_means")
+    m = len(filter_run.filtered_covs)
+    fcovs = check_shape(filter_run.filtered_covs, (m, nx, nx), "filtered_covs")
+    preds = check_shape(filter_run.predicted_covs, (m, nx, nx), "predicted_covs")
+    crosses = check_shape(filter_run.cross_covs, (m, nx, nx), "cross_covs")
+    if not 1 <= m <= K:
+        raise ConfigError(f"filtered_covs must hold 1 to K = {K} covariances, got {m}")
     if len(preds) < K:
         # P_{k+1|k} from the settled Sigma_k serves every later step.
         cross = A.dot(fcovs[-1])

@@ -76,6 +76,7 @@ def check_potential(name: str, *values) -> None:
 
 def rho(p: Potential, u) -> np.ndarray | float:
     """Potential value at |u|. Vectorized over array input."""
+    check_potential("potential", p)
     au = np.abs(real_array(u, "u"))
     g = p.gamma
     if p.family == "log-sum":
@@ -104,6 +105,7 @@ def rho_prime(p: Potential, u) -> np.ndarray | float:
     For scad the middle branch is (a gamma - |u|) / (a - 1), the derivative of
     the quadratic blend; it decays continuously from gamma to 0.
     """
+    check_potential("potential", p)
     au = np.abs(real_array(u, "u"))
     g = p.gamma
     if p.family == "log-sum":

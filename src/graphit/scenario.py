@@ -49,7 +49,7 @@ class Scenario:
     def __post_init__(self):
         for name in ("n_x", "n_y", "k", "n_realizations"):
             check_count(getattr(self, name), name)
-        EstimatorConfig(epsilon=self.epsilon, max_outer=self.max_outer)
+        EstimatorConfig(epsilon=self.epsilon, max_outer=self.max_outer, dr=self.dr)
         check_support(self.s, self.n_x, "s")
         for name in ("sigma_q", "sigma_r", "sigma_0", "target_norm"):
             check_positive(getattr(self, name), name)
@@ -59,6 +59,8 @@ class Scenario:
         if not self.methods:
             raise ConfigError("at least one method must be selected")
         for table in ("potentials", "grids"):
+            if not isinstance(getattr(self, table), dict):
+                raise ConfigError(f"{table} must be a dict keyed by method, got {getattr(self, table)!r}")
             for method in getattr(self, table):
                 if method not in PENALIZED:
                     raise ConfigError(
@@ -66,8 +68,10 @@ class Scenario:
                     )
         for method in self.potentials:
             check_potential(f"potentials[{method!r}]", self.potentials[method])
-        for method in self.grids:
-            check_potential(f"grids[{method!r}] point", *self.grids[method])
+        for method, points in self.grids.items():
+            if not isinstance(points, (tuple, list)):
+                raise ConfigError(f"grids[{method!r}] must be a tuple of Potentials, got {points!r}")
+            check_potential(f"grids[{method!r}] point", *points)
         if "graphem" in self.potentials:
             check_graphem(self.potentials["graphem"])
         check_graphem(*self.grids.get("graphem", ()))

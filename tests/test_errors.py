@@ -13,6 +13,7 @@ sizes, `validate`'s of H and the observations'), whose message names it.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,7 @@ from graphit import (
     rho,
     rho_prime,
     rmse,
+    rts_smoother,
     simulate,
     spectral_norm,
     surrogate_value,
@@ -81,6 +83,16 @@ def _stats_of(**fields):
     run = dict(smoothed_means=np.zeros((4, 2)), initial_cov=I2, smoothed_covs=np.array([I2, I2]),
                gains=np.array([I2, I2]), run_lengths=np.array([1, 2]))
     return compute_stats(SmootherRun(**{**run, **fields}))
+
+
+RUN = kalman_filter(PARAMS, OBSERVATIONS)
+M = len(RUN.filtered_covs)
+STACKS = ("filtered_covs", "predicted_covs", "cross_covs")
+
+
+def _smoothed(**fields):
+    """rts_smoother at PARAMS of its K = 5 filter run, with `fields` in place."""
+    return rts_smoother(PARAMS, dataclasses.replace(RUN, **fields))
 
 
 def _lockstep_entry(*problem):
@@ -246,6 +258,27 @@ CASES = {
         lambda: grid_search(Scenario(**SCENARIO), "graphem", [Potential("l1", gamma=1.0)], jobs=0), "jobs must be >= 1"
     ),
     "run_benchmark.jobs": (lambda: run_benchmark(Scenario(**SCENARIO), jobs=-1), "jobs must be >= 1"),
+    "EstimatorConfig.dr": (lambda: EstimatorConfig(dr=None), "dr must be a DRConfig, got None"),
+    "Scenario.dr": (lambda: Scenario(**SCENARIO, dr={"step": 1.0}), "dr must be a DRConfig, got {'step': 1.0}"),
+    "Scenario.potentials.type": (
+        lambda: Scenario(**{**SCENARIO, "potentials": None}), "potentials must be a dict keyed by method, got None"
+    ),
+    "Scenario.grids.type": (lambda: Scenario(**SCENARIO, grids=[]), "grids must be a dict keyed by method, got []"),
+    "Scenario.grids.value": (
+        lambda: Scenario(**SCENARIO, grids={"graphem": None}), "grids['graphem'] must be a tuple of Potentials, got None"
+    ),
+    "rts_smoother.other_model": (
+        lambda: rts_smoother(PARAMS, kalman_filter(ONE_STATE, OBSERVATIONS[:, :1])),
+        "filtered_means must have shape (5, 2), got (5, 1)",
+    ),
+    **{f"rts_smoother.{name}": (
+        lambda name=name: _smoothed(**{name: np.ones((M, 3, 3))}),
+        f"{name} must have shape ({M}, 2, 2), got ({M}, 3, 3)",
+    ) for name in STACKS},
+    **{f"rts_smoother.covariances.{label}": (
+        lambda m=m: _smoothed(**dict.fromkeys(STACKS, np.ones((m, 2, 2)))),
+        f"filtered_covs must hold 1 to K = 5 covariances, got {m}",
+    ) for label, m in (("none", 0), ("too_many", 6))},
     "Scenario.sigma_r": (lambda: Scenario(**SCENARIO, sigma_r=0.0), "sigma_r must be finite and > 0"),
     "Scenario.s": (lambda: Scenario(**{**SCENARIO, "s": 5}), "s must be an integer in [1, 4]"),
     "Scenario.edge_threshold": (lambda: Scenario(**SCENARIO, edge_threshold=-1.0), "edge_threshold must be >= 0"),
@@ -292,6 +325,7 @@ OWNERS = {
     "EstimatorConfig.epsilon": (lambda v: EstimatorConfig(epsilon=v), "epsilon must"),
     "EstimatorConfig.max_outer": (lambda v: EstimatorConfig(max_outer=v), "max_outer must"),
     "EstimatorConfig.potential": (lambda v: EstimatorConfig(potential=v), "potential must"),
+    "EstimatorConfig.dr": (lambda v: EstimatorConfig(dr=v), "dr must"),
     **{f"DRConfig.{name}": ((lambda v, name=name: DRConfig(**{name: v})), f"{name} must")
        for name in ("step", "relaxation", "tol", "max_iter")},
     "Potential.gamma": (lambda v: Potential("l1", gamma=v), "gamma must"),
@@ -299,7 +333,12 @@ OWNERS = {
     "Potential.a": (lambda v: Potential("scad", gamma=1.0, a=v), "scad requires a finite a"),
     **{f"Scenario.{name}": ((lambda v, name=name: Scenario(**{**SCENARIO, name: v})), f"{name} must")
        for name in ("n_x", "n_y", "s", "k", "sigma_q", "sigma_r", "sigma_0", "n_realizations", "master_seed",
-                    "epsilon", "max_outer", "edge_threshold", "target_norm")},
+                    "epsilon", "max_outer", "edge_threshold", "target_norm", "potentials", "grids", "dr")},
+    "rho.potential": (lambda v: rho(v, 1.0), "potential must"),
+    "rho_prime.potential": (lambda v: rho_prime(v, 1.0), "potential must"),
+    "penalty_value.potential": (lambda v: penalty_value(v, I2), "potential must"),
+    "weight_matrix.potential": (lambda v: weight_matrix(v, I2), "potential must"),
+    "emit_penalty_curve.potential": (lambda v: emit_penalty_curve(v, [0.0, 1.0]), "potential must"),
     "simulate.K": (lambda v: simulate(PARAMS, v, 0), "K must"),
     "simulate.seed": (lambda v: simulate(PARAMS, 5, v), "seed must"),
     "generate_sparse_A.N_x": (lambda v: generate_sparse_A(v, 1), "N_x must"),
